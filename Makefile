@@ -39,8 +39,8 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzRunNoPanic -fuzztime=15s ./internal/simulate/
 	$(GO) test -run='^$$' -fuzz=FuzzRunPlanNoPanic -fuzztime=15s ./internal/simulate/
 
-# Operator benchmarks (bulk fast path vs columnar kernels vs per-tuple
-# reference), the host worker-pool scaling sweep, and the fused-vs-staged
+# Operator benchmarks (bulk fast path vs per-tuple reference), the host
+# worker-pool scaling sweep, and the fused-vs-staged
 # query-plan benchmarks, converted to a benchstat-compatible JSON
 # snapshot. `jq -r '.raw[]' BENCH_PR2.json` reconstructs plain
 # `go test -bench` output for benchstat. The second step regenerates
@@ -77,49 +77,56 @@ bench-smoke:
 	$(GO) run ./cmd/mondrian-bench -qps BENCH_PR9.json -qps-requests 64
 	$(GO) test -bench=BenchmarkObsWindowOverhead -benchtime=2000x -run=^$$ . | $(GO) run ./cmd/benchjson > BENCH_PR10.json
 
+# The benchmarks the baseline records and the guard checks, one
+# `go test` run per entry: -bench regexp, -benchtime, -count, package.
+# bench-baseline, bench-guard and bench-compare all run this one list.
+BENCH_GUARDED := \
+	'BenchmarkObsOverhead$$|BenchmarkPlanJoinAggSort' 5x 3 . \
+	'BenchmarkPooledRun|BenchmarkServeQPS' 100x 3 . \
+	'BenchmarkObsWindowOverhead' 20000x 5 . \
+	'BenchmarkColumnarKernel' 20x 3 ./internal/tuple
+
+# bench_guarded runs every BENCH_GUARDED entry and writes the combined
+# benchjson snapshot to $(1); a second argument replaces every entry's
+# -count.
+bench_guarded = set -- $(BENCH_GUARDED); \
+	while [ $$\# -gt 0 ]; do \
+	  $(GO) test -bench="$$1" -benchtime=$$2 -count=$(or $(2),$$3) -run='^$$' $$4; \
+	  shift 4; \
+	done | $(GO) run ./cmd/benchjson > $(1)
+
 # Re-record the benchmark baseline (run on the reference machine;
 # benchguard skips when the CPU model differs): the disabled-metrics
-# overhead benchmark, the columnar kernel microbenchmarks, the
+# overhead benchmark, the AoS host-kernel microbenchmarks, the
 # fused/staged query-plan end-to-end runs, and the pooled-lifecycle and
 # serve-scheduler benchmarks.
 bench-baseline:
-	( $(GO) test -bench='BenchmarkObsOverhead|BenchmarkPlanJoinAggSort' -benchtime=5x -count=3 -run=^$$ . ; \
-	  $(GO) test -bench='BenchmarkPooledRun|BenchmarkServeQPS' -benchtime=100x -count=3 -run=^$$ . ; \
-	  $(GO) test -bench=BenchmarkObsWindowOverhead -benchtime=20000x -count=5 -run=^$$ . ; \
-	  $(GO) test -bench=BenchmarkColumnarKernel -benchtime=20x -count=3 -run=^$$ ./internal/tuple ) \
-	  | $(GO) run ./cmd/benchjson > BENCH_BASELINE.json
+	$(call bench_guarded,BENCH_BASELINE.json)
 	@echo wrote BENCH_BASELINE.json
 
 # Fail if the nil-registry (observability disabled) path got >5% slower,
-# or any columnar kernel, query-plan run, rolling-window record, or
+# or any host kernel, query-plan run, rolling-window record, or
 # serve-scheduler batch got >10% slower, than the recorded baseline. The
 # pooled single-run bench gets a looser 25% bound: a pooled run is
 # sub-millisecond, so host noise that washes out over a ServeQPS batch
-# shows up directly there. Both sides run -count=3 and benchguard keeps
-# each benchmark's fastest repetition: steal time, GC pauses and noisy
-# neighbors only ever add time, so min-of-N is the stable estimate on a
-# shared host. Guard output stays out of the repo.
+# shows up directly there. Both sides run the same -count and benchguard
+# keeps each benchmark's fastest repetition: steal time, GC pauses and
+# noisy neighbors only ever add time, so min-of-N is the stable estimate
+# on a shared host. Guard output stays out of the repo.
 bench-guard:
-	$(GO) test -bench='BenchmarkObsOverhead$$' -benchtime=5x -count=3 -run=^$$ . | $(GO) run ./cmd/benchjson > /tmp/bench_obs_current.json
-	$(GO) run ./cmd/benchguard -baseline BENCH_BASELINE.json -current /tmp/bench_obs_current.json
-	$(GO) test -bench=BenchmarkObsWindowOverhead -benchtime=20000x -count=5 -run=^$$ . | $(GO) run ./cmd/benchjson > /tmp/bench_window_current.json
-	$(GO) run ./cmd/benchguard -baseline BENCH_BASELINE.json -current /tmp/bench_window_current.json -match '^BenchmarkObsWindowOverhead' -threshold 0.10
-	$(GO) test -bench=BenchmarkColumnarKernel -benchtime=20x -count=3 -run=^$$ ./internal/tuple | $(GO) run ./cmd/benchjson > /tmp/bench_cols_current.json
-	$(GO) run ./cmd/benchguard -baseline BENCH_BASELINE.json -current /tmp/bench_cols_current.json -match '^BenchmarkColumnarKernel' -threshold 0.10
-	$(GO) test -bench=BenchmarkPlanJoinAggSort -benchtime=5x -count=3 -run=^$$ . | $(GO) run ./cmd/benchjson > /tmp/bench_plan_current.json
-	$(GO) run ./cmd/benchguard -baseline BENCH_BASELINE.json -current /tmp/bench_plan_current.json -match '^BenchmarkPlanJoinAggSort' -threshold 0.10
-	$(GO) test -bench='BenchmarkPooledRun|BenchmarkServeQPS' -benchtime=100x -count=3 -run=^$$ . | $(GO) run ./cmd/benchjson > /tmp/bench_serve_current.json
-	$(GO) run ./cmd/benchguard -baseline BENCH_BASELINE.json -current /tmp/bench_serve_current.json -match '^BenchmarkServeQPS' -threshold 0.10
-	$(GO) run ./cmd/benchguard -baseline BENCH_BASELINE.json -current /tmp/bench_serve_current.json -match '^BenchmarkPooledRun' -threshold 0.25
+	$(call bench_guarded,/tmp/bench_guard_current.json)
+	$(GO) run ./cmd/benchguard -baseline BENCH_BASELINE.json -current /tmp/bench_guard_current.json
+	$(GO) run ./cmd/benchguard -baseline BENCH_BASELINE.json -current /tmp/bench_guard_current.json -match '^BenchmarkObsWindowOverhead' -threshold 0.10
+	$(GO) run ./cmd/benchguard -baseline BENCH_BASELINE.json -current /tmp/bench_guard_current.json -match '^BenchmarkColumnarKernel' -threshold 0.10
+	$(GO) run ./cmd/benchguard -baseline BENCH_BASELINE.json -current /tmp/bench_guard_current.json -match '^BenchmarkPlanJoinAggSort' -threshold 0.10
+	$(GO) run ./cmd/benchguard -baseline BENCH_BASELINE.json -current /tmp/bench_guard_current.json -match '^BenchmarkServeQPS' -threshold 0.10
+	$(GO) run ./cmd/benchguard -baseline BENCH_BASELINE.json -current /tmp/bench_guard_current.json -match '^BenchmarkPooledRun' -threshold 0.25
 
 # Print baseline-vs-current per-op ratios for every guarded benchmark
-# (no failure thresholds — a human-readable drift report).
+# (no failure thresholds — a human-readable drift report, one repetition
+# each).
 bench-compare:
-	( $(GO) test -bench='BenchmarkObsOverhead$$|BenchmarkPlanJoinAggSort' -benchtime=5x -run=^$$ . ; \
-	  $(GO) test -bench='BenchmarkPooledRun|BenchmarkServeQPS' -benchtime=100x -run=^$$ . ; \
-	  $(GO) test -bench=BenchmarkObsWindowOverhead -benchtime=20000x -run=^$$ . ; \
-	  $(GO) test -bench=BenchmarkColumnarKernel -benchtime=20x -run=^$$ ./internal/tuple ) \
-	  | $(GO) run ./cmd/benchjson > /tmp/bench_compare_current.json
+	$(call bench_guarded,/tmp/bench_compare_current.json,1)
 	$(GO) run ./cmd/benchguard -baseline BENCH_BASELINE.json -current /tmp/bench_compare_current.json \
 	  -match '^Benchmark(ObsOverhead|ObsWindowOverhead|ColumnarKernel|PlanJoinAggSort|PooledRun|ServeQPS)' -report
 

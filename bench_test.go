@@ -35,28 +35,25 @@ func benchParams() simulate.Params {
 }
 
 // benchOp measures the host wall-clock of one operator simulation per
-// system in three modes: the run-based bulk fast path ("bulk", the
-// default), the columnar structure-of-arrays kernels ("columnar"), and
-// the per-tuple reference loops ("reference"). Simulated results are
-// byte-identical across all three (TestBulkDifferential and
-// TestColumnarEquivalence pin that); only host time differs, so the
-// mode ratios are the fast paths' speedups. Workload generation,
-// engine construction, placement, and output verification run outside
-// the timer — the benchmark isolates the simulation loop itself, which
-// is what the fast paths accelerate.
+// system in two modes: the run-based bulk fast path ("bulk", the
+// default) and the per-tuple reference loops ("reference"). Simulated
+// results are byte-identical across both (TestBulkDifferential pins
+// that); only host time differs, so the mode ratio is the fast path's
+// speedup. Workload generation, engine construction, placement, and
+// output verification run outside the timer — the benchmark isolates the
+// simulation loop itself, which is what the fast path accelerates.
 func benchOp(b *testing.B, op simulate.Operator) {
 	systems := []simulate.System{
 		simulate.CPU, simulate.NMP, simulate.NMPSeq, simulate.Mondrian,
 	}
 	for _, mode := range []struct {
-		name             string
-		noBulk, columnar bool
-	}{{"bulk", false, false}, {"columnar", false, true}, {"reference", true, false}} {
+		name   string
+		noBulk bool
+	}{{"bulk", false}, {"reference", true}} {
 		for _, s := range systems {
 			b.Run(mode.name+"/"+s.String(), func(b *testing.B) {
 				p := benchParams()
 				p.NoBulk = mode.noBulk
-				p.Columnar = mode.columnar
 				benchOperatorOnly(b, s, op, p)
 			})
 		}

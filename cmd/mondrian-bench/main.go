@@ -34,7 +34,6 @@ func main() {
 		manOut = flag.String("manifest", "", "append one compact JSON run manifest per (system, operator) to `file` and exit (\"-\" = stdout)")
 		plans  = flag.Bool("plans", false, "with -manifest: emit query-plan manifests (system × plan × fused/staged) instead of single operators")
 		par    = flag.Int("parallelism", 0, "host worker pool for per-vault execution (0 = GOMAXPROCS, 1 = serial; results are identical at every setting)")
-		cols   = flag.Bool("columnar", false, "run the columnar (structure-of-arrays) host kernels; results are identical either way")
 		cpuOut = flag.String("cpuprofile", "", "write a pprof CPU profile of the run to `file`")
 		memOut = flag.String("memprofile", "", "write a pprof heap profile at exit to `file`")
 
@@ -83,9 +82,6 @@ func main() {
 	}
 	if *par != 0 {
 		p.Parallelism = *par
-	}
-	if *cols {
-		p.Columnar = true
 	}
 	// Reject bad overrides up front with the boundary's one-line typed
 	// error instead of starting a long run (or, worse, a stack trace).

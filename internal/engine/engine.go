@@ -116,15 +116,6 @@ type Config struct {
 	// metrics change. Ignored on shared-unit (host-core) specs, whose
 	// accesses are order-dependent.
 	SkewAware bool
-	// Columnar enables the structure-of-arrays host kernels: operators
-	// run their hot inner loops over dense key/value columns
-	// (tuple.Columns) fed from per-unit arenas, with regions keeping a
-	// lazily built key-column mirror. Like NoBulk and SkewAware this is
-	// a host-execution choice only — every simulated access is still
-	// charged against the AoS tuple addresses, so simulated results are
-	// byte-identical either way (the differential suite asserts it).
-	// Columnar implies the bulk path; it is ignored when NoBulk is set.
-	Columnar bool
 }
 
 // Validate checks internal consistency, including that the resolved
@@ -163,15 +154,6 @@ type Region struct {
 	Addr   int64
 	Tuples []tuple.Tuple
 	cap    int
-
-	// keys is the lazily built key-column mirror used by the columnar
-	// host kernels (Config.Columnar): the same tuples, key half only,
-	// as one dense array. It is pure host-side representation — the
-	// simulated address space holds only the AoS Tuples — and is
-	// invalidated by every mutation of Tuples (keysOK false), then
-	// rebuilt on demand into the same backing slab.
-	keys   []tuple.Key
-	keysOK bool
 }
 
 // Cap returns the region's capacity in tuples.
@@ -193,45 +175,19 @@ func (r *Region) View(start, end int) *Region {
 	if start < 0 || end > len(r.Tuples) || start > end {
 		panic(fmt.Sprintf("engine: view [%d,%d) of region with %d tuples", start, end, len(r.Tuples)))
 	}
-	v := &Region{
+	return &Region{
 		Vault:  r.Vault,
 		Addr:   r.addrOf(start),
 		Tuples: r.Tuples[start:end:end],
 		cap:    end - start,
 	}
-	if r.keysOK && len(r.keys) == len(r.Tuples) {
-		// The parent's mirror covers the view's tuples; share it so the
-		// columnar kernels need no rebuild per view.
-		v.keys = r.keys[start:end:end]
-		v.keysOK = true
-	}
-	return v
 }
 
 // Reset empties the region (its capacity and address are unchanged), so a
 // scratch region can be reused across merge passes.
 func (r *Region) Reset() {
 	r.Tuples = r.Tuples[:0]
-	r.keysOK = false
 }
-
-// KeyColumn returns the region's dense key-column mirror, rebuilding it
-// from Tuples if a mutation invalidated it. The returned slice aliases
-// the mirror — callers must treat it as read-only and must not hold it
-// across region mutations.
-func (r *Region) KeyColumn() []tuple.Key {
-	if !r.keysOK || len(r.keys) != len(r.Tuples) {
-		r.keys = tuple.ExtractKeys(r.keys, r.Tuples)
-		r.keysOK = true
-	}
-	return r.keys
-}
-
-// MarkMutated invalidates the key-column mirror. The engine's own
-// accessors call it automatically; it exists for the few operator code
-// paths that mutate Tuples directly (in-place sorts, slab re-slicing)
-// after charging the traffic through raw byte accessors.
-func (r *Region) MarkMutated() { r.keysOK = false }
 
 // AccessKind classifies traced memory accesses.
 type AccessKind int
@@ -377,10 +333,6 @@ func New(cfg Config) (*Engine, error) {
 // Config returns the engine's configuration.
 func (e *Engine) Config() Config { return e.cfg }
 
-// Columnar reports whether the structure-of-arrays host kernels are
-// enabled (Config.Columnar, which NoBulk overrides — see Unit.Columnar).
-func (e *Engine) Columnar() bool { return e.cfg.Columnar && !e.cfg.NoBulk }
-
 // Units returns the compute units (16 CPU cores or one per vault).
 func (e *Engine) Units() []*Unit { return e.units }
 
@@ -417,12 +369,6 @@ func (e *Engine) allocRegion(vaultID int, ts []tuple.Tuple, capTuples int) (*Reg
 	r := &Region{Vault: v, Addr: addr, cap: capTuples}
 	if ts != nil {
 		r.Tuples = append(r.Tuples, ts...)
-		if e.cfg.Columnar {
-			// Build the key-column mirror at placement: residency setup
-			// is off the operators' clock, mirroring a columnar store
-			// that lays out columns at load time.
-			r.KeyColumn()
-		}
 	}
 	return r, nil
 }

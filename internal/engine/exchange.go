@@ -198,7 +198,6 @@ func (x *Exchange) Flush() error {
 					shards[d] = append(shards[d], traceEvent{unit: a.src, kind: TracePermuted, addr: placed, size: tuple.Size, write: true})
 				}
 				dst.Tuples = append(dst.Tuples, a.m.t) // arrival order IS the layout
-				dst.keysOK = false
 				continue
 			}
 			idx := offset[a.src][d]
@@ -208,7 +207,6 @@ func (x *Exchange) Flush() error {
 			}
 			ensureLen(dst, idx+1)
 			dst.Tuples[idx] = a.m.t
-			dst.keysOK = false
 			addr := dst.addrOf(idx)
 			if shards != nil {
 				shards[d] = append(shards[d], traceEvent{unit: a.src, kind: TraceShuffle, addr: addr, size: tuple.Size, write: true})
@@ -259,7 +257,6 @@ func (x *Exchange) applyPermutableRun(dst *Region, arr []arrival) error {
 	for i := 0; i < n; i++ {
 		dst.Tuples = append(dst.Tuples, arr[i].m.t) // arrival order IS the layout
 	}
-	dst.keysOK = false
 	if err != nil {
 		return err
 	}

@@ -80,44 +80,34 @@ func TestResetRestoresPristineState(t *testing.T) {
 }
 
 func TestResetRetainsScratchCapacity(t *testing.T) {
-	e := mustEngine(t, mondrianConfig())
+	const n = 4096
+	e := mustEngine(t, nmpConfig(false))
 	u := e.Units()[0]
 
-	// Warm the arena and stream group once.
-	a := u.Arena()
-	a.PutCols(a.Cols(256))
-	g := u.StreamGroup()
-	r, err := e.Place(0, make([]tuple.Tuple, 512))
+	// Warm the unit's cache-run buffer once.
+	r, err := e.Place(0, make([]tuple.Tuple, n))
 	if err != nil {
 		t.Fatal(err)
 	}
-	cycle := func(reg *Region) {
-		g.Reset()
-		g.AddView(reg, 0, reg.Len())
-		if _, err := g.Open(); err != nil {
-			t.Fatal(err)
-		}
+	u.ReadRunBytes(r.Addr, tuple.Size, n)
+	warm := cap(u.runRes.Ops)
+	if warm == 0 {
+		t.Fatal("bulk run left the cache-run buffer empty")
 	}
-	cycle(r)
 
 	e.Reset()
-	if u.streamGroup != g {
-		t.Fatal("Reset replaced the unit's stream group")
+	if got := cap(u.runRes.Ops); got != warm {
+		t.Fatalf("Reset dropped the cache-run buffer: cap %d, want %d", got, warm)
 	}
-	if u.Arena() != a {
-		t.Fatal("Reset replaced the unit's arena")
-	}
-	// Pooled re-run steady state: after Reset, arena borrows and stream
-	// group cycles must stay allocation-free on retained capacity.
-	r2, err := e.Place(0, make([]tuple.Tuple, 512))
+	// Pooled re-run steady state: after Reset, bulk runs stay
+	// allocation-free on the retained capacity.
+	r2, err := e.Place(0, make([]tuple.Tuple, n))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if allocs := testing.AllocsPerRun(5, func() { a.PutCols(a.Cols(256)) }); allocs != 0 {
-		t.Errorf("arena borrow allocates %.1f times after Reset", allocs)
-	}
-	if allocs := testing.AllocsPerRun(5, func() { cycle(r2) }); allocs != 0 {
-		t.Errorf("stream-group cycle allocates %.1f times after Reset", allocs)
+	run := func() { u.ReadRunBytes(r2.Addr, tuple.Size, n) }
+	if allocs := testing.AllocsPerRun(5, run); allocs != 0 {
+		t.Errorf("bulk run allocates %.1f times after Reset", allocs)
 	}
 }
 

@@ -115,88 +115,3 @@ func (s *StreamReader) Remaining() int { return len(s.r.Tuples) - s.pos }
 
 // Done reports whether the stream is exhausted.
 func (s *StreamReader) Done() bool { return s.pos >= len(s.r.Tuples) }
-
-// StreamGroup is a reusable OpenStreams: it owns the view, reader and
-// range storage that OpenStreams would otherwise allocate per call, so
-// per-group stream setup inside hot loops (a sort's merge groups run
-// thousands of times per pass) reaches a zero-allocation steady state.
-// Usage per group: Reset, AddView for each run, then Open.
-//
-// The readers returned by Open are valid until the next Reset. A
-// StreamGroup is owned by its unit and is not safe for concurrent use.
-type StreamGroup struct {
-	u       *Unit
-	views   []Region
-	readers []StreamReader
-	ptrs    []*StreamReader
-	ranges  []hmc.Range
-}
-
-// StreamGroup returns the unit's reusable stream-group storage,
-// creating it on first use.
-func (u *Unit) StreamGroup() *StreamGroup {
-	if u.streamGroup == nil {
-		u.streamGroup = &StreamGroup{u: u}
-	}
-	return u.streamGroup
-}
-
-// Reset empties the group for a new set of views, keeping capacity.
-func (g *StreamGroup) Reset() {
-	g.views = g.views[:0]
-	g.readers = g.readers[:0]
-	g.ptrs = g.ptrs[:0]
-	g.ranges = g.ranges[:0]
-}
-
-// AddView adds tuples [start, end) of r as one stream — the same view
-// r.View(start, end) would describe, built into the group's storage.
-func (g *StreamGroup) AddView(r *Region, start, end int) {
-	if start < 0 || end > len(r.Tuples) || start > end {
-		panic(fmt.Sprintf("engine: view [%d,%d) of region with %d tuples", start, end, len(r.Tuples)))
-	}
-	v := Region{
-		Vault:  r.Vault,
-		Addr:   r.addrOf(start),
-		Tuples: r.Tuples[start:end:end],
-		cap:    end - start,
-	}
-	if r.keysOK && len(r.keys) == len(r.Tuples) {
-		v.keys = r.keys[start:end:end]
-		v.keysOK = true
-	}
-	g.views = append(g.views, v)
-}
-
-// Open ties the added views to the unit's stream buffers and returns
-// one reader per view, exactly as OpenStreams would — but into reused
-// storage. The result slice is invalidated by the next Reset.
-func (g *StreamGroup) Open() ([]*StreamReader, error) {
-	u := g.u
-	for i := range g.views {
-		r := &g.views[i]
-		if u.Streams == nil {
-			g.readers = append(g.readers, StreamReader{u: u, r: r, stream: -1})
-			continue
-		}
-		if r.Vault != u.Vault {
-			return nil, fmt.Errorf("engine: region in vault %d streamed from unit %d (vault %d)",
-				r.Vault.ID, u.ID, u.Vault.ID)
-		}
-		g.ranges = append(g.ranges, hmc.Range{Start: r.Addr, End: r.addrOf(len(r.Tuples))})
-		g.readers = append(g.readers, StreamReader{u: u, r: r, stream: i})
-	}
-	if u.Streams != nil {
-		if err := u.Streams.Configure(g.ranges); err != nil {
-			return nil, err
-		}
-	}
-	for i := range g.readers {
-		g.ptrs = append(g.ptrs, &g.readers[i])
-	}
-	return g.ptrs, nil
-}
-
-// View returns the group's view i, for callers that need the region
-// (e.g. key columns) alongside the reader.
-func (g *StreamGroup) View(i int) *Region { return &g.views[i] }

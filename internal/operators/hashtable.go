@@ -15,13 +15,8 @@ import (
 type hashTable struct {
 	region   *engine.Region
 	occupied []bool
-	// keys is the columnar build side: a dense mirror of the slot keys,
-	// maintained only when the engine runs columnar. Probe compares then
-	// scan 8-byte keys instead of dereferencing 16-byte slots; the
-	// simulated slot reads (and their charges) are unchanged.
-	keys    []tuple.Key
-	mask    uint64
-	entries int
+	mask     uint64
+	entries  int
 }
 
 // newHashTable allocates a table with ≥ 2× capacity slots (power of two)
@@ -38,11 +33,7 @@ func newHashTable(e *engine.Engine, vaultID, capacity int) (*hashTable, error) {
 	for i := 0; i < slots; i++ {
 		r.Tuples = append(r.Tuples, tuple.Tuple{})
 	}
-	ht := &hashTable{region: r, occupied: make([]bool, slots), mask: uint64(slots - 1)}
-	if e.Columnar() {
-		ht.keys = make([]tuple.Key, slots)
-	}
-	return ht, nil
+	return &hashTable{region: r, occupied: make([]bool, slots), mask: uint64(slots - 1)}, nil
 }
 
 // slotHash spreads keys over slots (Fibonacci hashing).
@@ -63,9 +54,6 @@ func (h *hashTable) insert(u *engine.Unit, t tuple.Tuple) error {
 	}
 	h.occupied[i] = true
 	h.entries++
-	if h.keys != nil {
-		h.keys[i] = t.Key
-	}
 	u.StoreTuple(h.region, int(i), t)
 	return nil
 }
@@ -74,19 +62,6 @@ func (h *hashTable) insert(u *engine.Unit, t tuple.Tuple) error {
 // probe. It reports whether the key was present.
 func (h *hashTable) lookup(u *engine.Unit, k tuple.Key) (tuple.Tuple, bool) {
 	i := h.slotHash(k)
-	if h.keys != nil {
-		// Columnar probe: compares run over the dense key column; every
-		// probed slot still charges the same 16-byte read.
-		for h.occupied[i] {
-			t := u.LoadTuple(h.region, int(i))
-			if h.keys[i] == k {
-				return t, true
-			}
-			i = (i + 1) & h.mask
-		}
-		u.LoadTuple(h.region, int(i))
-		return tuple.Tuple{}, false
-	}
 	for h.occupied[i] {
 		t := u.LoadTuple(h.region, int(i))
 		if t.Key == k {

@@ -193,26 +193,7 @@ func joinSortMergeProbe(e *engine.Engine, cm CostModel, rBuckets, sBuckets []*en
 	e.BeginStep(probeProfile(e, prof))
 	if err := e.ForEachTaskWeighted(len(rSorted), stealWeights(e, rSorted, sSorted), func(b int) error {
 		u := unitForBucket(e, b)
-		// Columnar mode trades the AoS peek-ahead walks for flat scans of
-		// the buckets' dense key columns (AdvanceBelow for R catch-up,
-		// RunEnd for equal-key S runs) and draws its stream machinery and
-		// append buffer from the unit's reusable pools. The read, charge
-		// and append sequences are those of the bulk path, unchanged.
-		colsMode := u.Columnar()
-		var rKeys, sKeys []tuple.Key
-		var readers []*engine.StreamReader
-		var err error
-		if colsMode {
-			rKeys = rSorted[b].KeyColumn()
-			sKeys = sSorted[b].KeyColumn()
-			sg := u.StreamGroup()
-			sg.Reset()
-			sg.AddView(rSorted[b], 0, rSorted[b].Len())
-			sg.AddView(sSorted[b], 0, sSorted[b].Len())
-			readers, err = sg.Open()
-		} else {
-			readers, err = u.OpenStreams(rSorted[b], sSorted[b])
-		}
+		readers, err := u.OpenStreams(rSorted[b], sSorted[b])
 		if err != nil {
 			return err
 		}
@@ -232,10 +213,6 @@ func joinSortMergeProbe(e *engine.Engine, cm CostModel, rBuckets, sBuckets []*en
 				u.Charge(insts)
 			}
 			var pending []tuple.Tuple
-			if colsMode {
-				pending = u.Arena().Tuples(0)
-				defer func() { u.Arena().PutTuples(pending) }()
-			}
 			for si := 0; si < len(sTs); si++ {
 				if !rok {
 					// R exhausted: the rest of S is a pure read run.
@@ -248,14 +225,9 @@ func joinSortMergeProbe(e *engine.Engine, cm CostModel, rBuckets, sBuckets []*en
 				sr.NextRun(1)
 				u.Charge(insts)
 				if rTs[cur].Key < st.Key {
-					var j int
-					if colsMode {
-						j = tuple.AdvanceBelow(rKeys, cur, st.Key)
-					} else {
-						j = cur
-						for j < nR && rTs[j].Key < st.Key {
-							j++
-						}
+					j := cur
+					for j < nR && rTs[j].Key < st.Key {
+						j++
 					}
 					if j < nR {
 						rr.NextRun(j - cur)
@@ -288,14 +260,9 @@ func joinSortMergeProbe(e *engine.Engine, cm CostModel, rBuckets, sBuckets []*en
 				// per-tuple expansions, and matched appends use the
 				// mergePass flush-before-refill pattern, which reproduces
 				// the exact [refill][≤granule writes] DRAM order.
-				var se int
-				if colsMode {
-					se = tuple.RunEnd(sKeys, si)
-				} else {
-					se = si + 1
-					for se < len(sTs) && sTs[se].Key == st.Key {
-						se++
-					}
+				se := si + 1
+				for se < len(sTs) && sTs[se].Key == st.Key {
+					se++
 				}
 				if k := se - (si + 1); k >= splitRunMinTuples {
 					switch {

@@ -145,45 +145,9 @@ func nmpPartition(e *engine.Engine, cfg Config, inputs []*engine.Region, part Pa
 			sketches[v] = NewSpaceSaving(cfg.skewSketchSize())
 		}
 	}
-	// Columnar runs keep each vault's bucket ids from the histogram step
-	// for reuse in the distribute step (same unit, same tuple order).
-	var vaultIDs [][]int32
-	if e.Columnar() {
-		vaultIDs = make([][]int32, nv)
-	}
 	e.BeginStep(probeProfile(e, cm.HistogramProfile))
 	if err := e.ForEachVaultWeighted(stealWeights(e, inputs), func(v int, u *engine.Unit) error {
 		perSource[v] = make([]int64, nv)
-		if u.Columnar() {
-			// Columnar path: one shift/mask kernel over the dense key
-			// column computes every tuple's bucket; the histogram is then
-			// a flat count over the id array. Charges are identical to
-			// the bulk path (one run read + n constant charges).
-			g := u.StreamGroup()
-			g.Reset()
-			g.AddView(inputs[v], 0, inputs[v].Len())
-			readers, err := g.Open()
-			if err != nil {
-				return err
-			}
-			n := inputs[v].Len()
-			readers[0].NextRun(n)
-			keys := inputs[v].KeyColumn()
-			ids := u.Arena().IDs(n)
-			bucketIDs(ids, keys, part)
-			row := perSource[v]
-			for _, id := range ids {
-				row[id]++
-			}
-			if sketches != nil {
-				for i := 0; i < len(keys); i += stride {
-					sketches[v].Offer(uint64(keys[i]))
-				}
-			}
-			u.ChargeRun(histInsts, n)
-			vaultIDs[v] = ids
-			return nil
-		}
 		readers, err := u.OpenStreams(inputs[v])
 		if err != nil {
 			return err
@@ -282,31 +246,6 @@ func nmpPartition(e *engine.Engine, cfg Config, inputs []*engine.Region, part Pa
 	e.BeginStep(probeProfile(e, profile))
 	x := e.NewExchange(dests)
 	if err := e.ForEachVaultWeighted(stealWeights(e, inputs), func(v int, u *engine.Unit) error {
-		if u.Columnar() {
-			// Columnar path: reuse the bucket ids the histogram step
-			// computed for this vault — the scalar path recomputes
-			// Bucket per tuple. Same run read, same per-tuple charge and
-			// send order.
-			g := u.StreamGroup()
-			g.Reset()
-			g.AddView(inputs[v], 0, inputs[v].Len())
-			rs, err := g.Open()
-			if err != nil {
-				return err
-			}
-			ob := x.Outbox(v)
-			ids := vaultIDs[v]
-			ts := rs[0].NextRun(inputs[v].Len())
-			for i := range ts {
-				u.Charge(insts)
-				if err := ob.Send(int(ids[i]), ts[i]); err != nil {
-					return err
-				}
-			}
-			u.Arena().PutIDs(ids)
-			vaultIDs[v] = nil
-			return nil
-		}
 		rs, err := u.OpenStreams(inputs[v])
 		if err != nil {
 			return err
@@ -404,41 +343,13 @@ func cpuPartition(e *engine.Engine, cfg Config, inputs []*engine.Region, part Pa
 			sketches[c] = NewSpaceSaving(cfg.skewSketchSize())
 		}
 	}
-	// Columnar runs compute each region's bucket ids once (shift/mask
-	// kernel over the key column) and reuse them in the scatter pass,
-	// where the scalar path recomputes Bucket per tuple per pass.
-	var coreIDs [][][]int32
-	if e.Columnar() {
-		coreIDs = make([][][]int32, nCores)
-		for c := range coreIDs {
-			coreIDs[c] = make([][]int32, len(coreInputs[c]))
-		}
-	}
 	histProf := cm.HistogramProfile
 	histProf.MLPOverride = cm.CPUPartitionMLP
 	e.BeginStep(histProf)
 	for c, u := range units {
 		hist[c] = histBacking[c*part.Buckets : (c+1)*part.Buckets]
 		n := 0
-		for j, in := range coreInputs[c] {
-			if u.Columnar() {
-				keys := in.KeyColumn()
-				ids := u.Arena().IDs(len(keys))
-				bucketIDs(ids, keys, part)
-				coreIDs[c][j] = ids
-				for i := 0; i < len(keys); i++ {
-					u.LoadTuple(in, i)
-					b := int(ids[i])
-					hist[c][b]++
-					if sketches != nil && n%stride == 0 {
-						sketches[c].Offer(uint64(keys[i]))
-					}
-					n++
-					u.Charge(cm.HistogramInsts)
-					histTraffic(u, cm, histAddrs[c], part.Buckets, b)
-				}
-				continue
-			}
+		for _, in := range coreInputs[c] {
 			for i := 0; i < in.Len(); i++ {
 				t := u.LoadTuple(in, i)
 				b := part.Bucket(t.Key)
@@ -520,7 +431,6 @@ func cpuPartition(e *engine.Engine, cfg Config, inputs []*engine.Region, part Pa
 			res.Skew.Resized = true
 		}
 		r.Tuples = slab[off : off : off+cnt]
-		r.MarkMutated() // backing swap bypassed the engine's mutators
 		off += cnt
 	}
 
@@ -528,20 +438,7 @@ func cpuPartition(e *engine.Engine, cfg Config, inputs []*engine.Region, part Pa
 	profile.MLPOverride = cm.CPUPartitionMLP
 	e.BeginStep(profile)
 	for c, u := range units {
-		for j, in := range coreInputs[c] {
-			if u.Columnar() {
-				ids := coreIDs[c][j]
-				for i := 0; i < in.Len(); i++ {
-					t := u.LoadTuple(in, i)
-					b := int(ids[i])
-					u.Charge(insts)
-					u.SendAt(buckets[b], offset[c][b], t)
-					offset[c][b]++
-				}
-				u.Arena().PutIDs(ids)
-				coreIDs[c][j] = nil
-				continue
-			}
+		for _, in := range coreInputs[c] {
 			for i := 0; i < in.Len(); i++ {
 				t := u.LoadTuple(in, i)
 				b := part.Bucket(t.Key)

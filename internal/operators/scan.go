@@ -54,50 +54,8 @@ func Scan(e *engine.Engine, cfg Config, inputs []*engine.Region, needle tuple.Ke
 		// byte crosses the CPU's SerDes links.
 		for v, in := range inputs {
 			u := e.Units()[v%len(e.Units())]
-			if u.Columnar() {
-				// Columnar path: the match search runs over the dense key
-				// column (FindKey's flat compare loop) instead of striding
-				// the AoS tuples; runs retire exactly as in the bulk path.
-				ts := in.Tuples
-				keys := in.KeyColumn()
-				for pos := 0; pos < len(keys); {
-					m := tuple.FindKey(keys, pos, needle)
-					n := m - pos
-					if m < len(keys) {
-						n++ // include the matching tuple in the run
-					}
-					u.LoadRun(in, pos, n)
-					u.ChargeRun(insts, n)
-					if m < len(keys) {
-						u.AppendLocal(outs[v], ts[m])
-						res.Matches++
-					}
-					pos += n
-				}
-				continue
-			}
 			if u.Bulk() {
-				// Bulk path: peek ahead in the functional data to find the
-				// next match, then retire the whole stretch up to and
-				// including it as one run — identical charged access order.
-				ts := in.Tuples
-				for pos := 0; pos < len(ts); {
-					m := pos
-					for m < len(ts) && ts[m].Key != needle {
-						m++
-					}
-					n := m - pos
-					if m < len(ts) {
-						n++ // include the matching tuple in the run
-					}
-					u.LoadRun(in, pos, n)
-					u.ChargeRun(insts, n)
-					if m < len(ts) {
-						u.AppendLocal(outs[v], ts[m])
-						res.Matches++
-					}
-					pos += n
-				}
+				res.Matches += scanBulk(u, in, nil, outs[v], needle, insts)
 				continue
 			}
 			// Reference per-tuple path.
@@ -113,37 +71,12 @@ func Scan(e *engine.Engine, cfg Config, inputs []*engine.Region, needle tuple.Ke
 	} else {
 		matches := make([]int, len(inputs))
 		if err := e.ForEachVaultWeighted(stealWeights(e, inputs), func(v int, u *engine.Unit) error {
-			if u.Columnar() {
-				// Columnar path: stream setup through the unit's reusable
-				// group and the match search over the dense key column —
-				// the steady state allocates nothing.
-				m, err := scanVaultColumnar(u, inputs[v], outs[v], needle, insts)
-				matches[v] = m
-				return err
-			}
 			readers, err := u.OpenStreams(inputs[v])
 			if err != nil {
 				return err
 			}
 			if u.Bulk() {
-				ts := inputs[v].Tuples
-				for pos := 0; pos < len(ts); {
-					m := pos
-					for m < len(ts) && ts[m].Key != needle {
-						m++
-					}
-					n := m - pos
-					if m < len(ts) {
-						n++
-					}
-					readers[0].NextRun(n)
-					u.ChargeRun(insts, n)
-					if m < len(ts) {
-						u.AppendLocal(outs[v], ts[m])
-						matches[v]++
-					}
-					pos += n
-				}
+				matches[v] = scanBulk(u, inputs[v], readers[0], outs[v], needle, insts)
 				return nil
 			}
 			// Reference per-tuple path.
@@ -170,37 +103,35 @@ func Scan(e *engine.Engine, cfg Config, inputs []*engine.Region, needle tuple.Ke
 	return res, nil
 }
 
-// scanVaultColumnar is one vault's columnar scan: the needle search runs
-// over the region's dense key column, and the consumed stretches retire
-// through the stream reader exactly as the bulk path retires them, so
-// the charged access sequence is identical. The reusable stream group
-// and the region's cached key mirror make the steady state
-// allocation-free.
-func scanVaultColumnar(u *engine.Unit, in, out *engine.Region, needle tuple.Key, insts float64) (int, error) {
-	g := u.StreamGroup()
-	g.Reset()
-	g.AddView(in, 0, in.Len())
-	readers, err := g.Open()
-	if err != nil {
-		return 0, err
-	}
-	rd := readers[0]
-	ts := in.Tuples
-	keys := in.KeyColumn()
+// scanBulk is Scan's bulk kernel over one partition: it peeks ahead in
+// the functional data to find the next match, then retires the whole
+// stretch up to and including it as one run — the same charged access
+// order as the per-tuple loop. rd is the partition's stream reader, or
+// nil when the unit loads the partition through its caches (the CPU).
+// It returns the number of matches appended to out.
+func scanBulk(u *engine.Unit, in *engine.Region, rd *engine.StreamReader, out *engine.Region, needle tuple.Key, insts float64) int {
 	matches := 0
-	for pos := 0; pos < len(keys); {
-		m := tuple.FindKey(keys, pos, needle)
+	ts := in.Tuples
+	for pos := 0; pos < len(ts); {
+		m := pos
+		for m < len(ts) && ts[m].Key != needle {
+			m++
+		}
 		n := m - pos
-		if m < len(keys) {
+		if m < len(ts) {
 			n++ // include the matching tuple in the run
 		}
-		rd.NextRun(n)
+		if rd == nil {
+			u.LoadRun(in, pos, n)
+		} else {
+			rd.NextRun(n)
+		}
 		u.ChargeRun(insts, n)
-		if m < len(keys) {
+		if m < len(ts) {
 			u.AppendLocal(out, ts[m])
 			matches++
 		}
 		pos += n
 	}
-	return matches, nil
+	return matches
 }

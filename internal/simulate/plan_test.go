@@ -294,8 +294,8 @@ func TestParsePlan(t *testing.T) {
 // FuzzRunPlanNoPanic extends the boundary's no-crash guarantee to plan
 // runs: for any Params in the mutated space, any System and any Plan,
 // RunPlan either returns a result or a typed error — never a panic. The
-// mutated space spans both fusion modes, the skew-aware path and the
-// columnar kernels, so fused probes on elided re-shuffles sit under the
+// mutated space spans both fusion modes, the skew-aware path and both
+// host loops, so fused probes on elided re-shuffles sit under the
 // guarantee too.
 func FuzzRunPlanNoPanic(f *testing.F) {
 	type seed struct {
@@ -304,26 +304,26 @@ func FuzzRunPlanNoPanic(f *testing.F) {
 		vaultCap                                     int64
 		cpuBuckets, par                              int
 		seed                                         int64
-		noBulk, skewAware, columnar, noFusion        bool
+		noBulk, skewAware, noFusion                  bool
 		zipfS                                        float64
 	}
 	seeds := []seed{
-		{int(Mondrian), int(PlanJoinAgg), 1, 4, 1 << 11, 1 << 10, 4, 1 << 20, 16 << 20, 0, 1, 42, false, false, false, false, 0},
-		{int(NMP), int(PlanJoinAggSort), 1, 4, 1 << 11, 1 << 10, 4, 1 << 20, 16 << 20, 0, 2, 7, false, false, false, true, 0},
-		{int(CPU), int(PlanStarJoinAgg), 1, 4, 1 << 11, 1 << 10, 4, 1 << 20, 16 << 20, 1 << 8, 1, 42, false, false, true, false, 0},
-		{int(NMPSeq), int(PlanSortAgg), 1, 4, 1 << 11, 1 << 10, 4, 1 << 20, 16 << 20, 0, 4, 9, true, true, false, false, 1.5},
-		{int(Mondrian), int(PlanFilterSort), 1, 4, 1 << 11, 1 << 10, 4, 1 << 20, 16 << 20, 0, 1, 42, false, true, false, true, 1.1},
-		{int(Mondrian), int(PlanJoinAgg), 1, 4, -5, 0, 0, 3 << 10, 0, 0, 1, 42, false, false, false, false, 0.5},
+		{int(Mondrian), int(PlanJoinAgg), 1, 4, 1 << 11, 1 << 10, 4, 1 << 20, 16 << 20, 0, 1, 42, false, false, false, 0},
+		{int(NMP), int(PlanJoinAggSort), 1, 4, 1 << 11, 1 << 10, 4, 1 << 20, 16 << 20, 0, 2, 7, false, false, true, 0},
+		{int(CPU), int(PlanStarJoinAgg), 1, 4, 1 << 11, 1 << 10, 4, 1 << 20, 16 << 20, 1 << 8, 1, 42, false, false, false, 0},
+		{int(NMPSeq), int(PlanSortAgg), 1, 4, 1 << 11, 1 << 10, 4, 1 << 20, 16 << 20, 0, 4, 9, true, true, false, 1.5},
+		{int(Mondrian), int(PlanFilterSort), 1, 4, 1 << 11, 1 << 10, 4, 1 << 20, 16 << 20, 0, 1, 42, false, true, true, 1.1},
+		{int(Mondrian), int(PlanJoinAgg), 1, 4, -5, 0, 0, 3 << 10, 0, 0, 1, 42, false, false, false, 0.5},
 	}
 	for _, s := range seeds {
 		f.Add(s.sys, s.pl, s.cubes, s.vaultsPer, s.sTup, s.rTup, s.group,
 			s.keySpace, s.vaultCap, s.cpuBuckets, s.par, s.seed, s.noBulk,
-			s.skewAware, s.columnar, s.noFusion, s.zipfS)
+			s.skewAware, s.noFusion, s.zipfS)
 	}
 
 	f.Fuzz(func(t *testing.T, sysRaw, plRaw, cubes, vaultsPer, sTup, rTup, group int,
 		keySpace uint64, vaultCap int64, cpuBuckets, par int, seed int64, noBulk bool,
-		skewAware, columnar, noFusion bool, zipfS float64) {
+		skewAware, noFusion bool, zipfS float64) {
 		p := TestParams()
 		p.Cubes = cubes % 4
 		p.VaultsPer = vaultsPer % 10
@@ -338,7 +338,6 @@ func FuzzRunPlanNoPanic(f *testing.F) {
 		p.Seed = seed
 		p.NoBulk = noBulk
 		p.SkewAware = skewAware
-		p.Columnar = columnar
 		p.NoFusion = noFusion
 		p.ZipfS = zipfS
 		sys := System(mod(sysRaw, int(numSystems)+2) - 1)

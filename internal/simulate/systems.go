@@ -71,18 +71,10 @@ type Params struct {
 	// wall-clock time and the skew_* observability metrics differ.
 	// Overridable with the MONDRIAN_SKEW_AWARE environment variable.
 	SkewAware bool
-	// Columnar selects the columnar (structure-of-arrays) host kernels:
-	// scan, partition, sort, group-by and join inner loops run over
-	// dense key columns with arena-backed scratch instead of the
-	// tuple-at-a-time bulk loops. Report JSON is byte-identical with
-	// the flag on or off — only host wall-clock time and allocation
-	// behaviour change. Ignored when NoBulk forces the reference loops.
-	// Overridable with the MONDRIAN_COLUMNAR environment variable.
-	Columnar bool
 	// NoPool disables engine pooling: every run constructs a fresh engine
 	// with engine.New and discards it, the pre-PR-9 lifecycle. Pooling
 	// (the default) acquires a reset engine from the shared pool and
-	// releases it after the run; like Parallelism/NoBulk/Columnar it is a
+	// releases it after the run; like Parallelism/NoBulk it is a
 	// host-execution choice only — report JSON is byte-identical either
 	// way (TestResetEquivalence asserts it). Overridable with the
 	// MONDRIAN_NO_POOL environment variable.
@@ -117,7 +109,6 @@ func DefaultParams() Params {
 		Parallelism:   envParallelism(),
 		NoBulk:        envNoBulk(),
 		SkewAware:     envSkewAware(),
-		Columnar:      envColumnar(),
 		NoPool:        envNoPool(),
 		Cubes:         4,
 		VaultsPer:     16,
@@ -206,23 +197,6 @@ func envSkewAware() bool {
 	return b
 }
 
-// envColumnar reads the MONDRIAN_COLUMNAR override. Boolean spellings
-// parse as usual; anything else non-empty means "set" (columnar kernels
-// enabled) but is reported with a one-line warning naming the variable
-// and value.
-func envColumnar() bool {
-	v := os.Getenv("MONDRIAN_COLUMNAR")
-	if v == "" {
-		return false
-	}
-	b, err := strconv.ParseBool(v)
-	if err != nil {
-		fmt.Fprintf(envWarnOut, "mondrian: MONDRIAN_COLUMNAR=%q is not a boolean; treating as set (columnar kernels enabled)\n", v)
-		return true
-	}
-	return b
-}
-
 // envNoPool reads the MONDRIAN_NO_POOL override. Boolean spellings parse
 // as usual; anything else non-empty means "set" (engine pooling disabled)
 // but is reported with a one-line warning naming the variable and value.
@@ -265,7 +239,6 @@ func (p Params) EngineConfig(s System) engine.Config {
 	cfg.Parallelism = p.Parallelism
 	cfg.NoBulk = p.NoBulk
 	cfg.SkewAware = p.SkewAware
-	cfg.Columnar = p.Columnar
 	cfg.Obs = p.Obs
 	if sp.HostCores {
 		cfg.CPUCores = p.CPUCores

@@ -5,27 +5,25 @@ import (
 	"testing"
 )
 
-// BenchmarkColumnarKernel compares the host-side hot kernels of ISSUE 7
-// in AoS form (striding []Tuple) against their SoA form (dense key
-// column). These are the kernels the columnar operator paths run; the
-// bench guard pins the soa variants against >10% regression
-// (make bench-guard).
+// BenchmarkColumnarKernel times the host-side hot kernels the operators'
+// bulk paths run over AoS tuples: the scan's compare loop, the range
+// partitioner's bucket math, and SortSliceByKey. The bench guard pins
+// every variant against a >10% regression (make bench-guard); the
+// benchmark and sub-benchmark names are the baseline's keys.
 
 const kernelN = 1 << 17
 
-func kernelData() ([]Tuple, *Columns) {
+func kernelData() []Tuple {
 	rng := rand.New(rand.NewSource(42))
 	ts := make([]Tuple, kernelN)
 	for i := range ts {
 		ts[i] = Tuple{Key: Key(rng.Uint64() % (1 << 24)), Val: Value(i)}
 	}
-	c := &Columns{}
-	c.SetTuples(ts)
-	return ts, c
+	return ts
 }
 
 func BenchmarkColumnarKernel(b *testing.B) {
-	ts, cols := kernelData()
+	ts := kernelData()
 
 	// Scan: find an absent needle, i.e. the full-length compare loop.
 	b.Run("scan-aos", func(b *testing.B) {
@@ -40,23 +38,12 @@ func BenchmarkColumnarKernel(b *testing.B) {
 		}
 		_ = sink
 	})
-	b.Run("scan-soa", func(b *testing.B) {
-		b.SetBytes(kernelN * 8)
-		var sink int
-		for i := 0; i < b.N; i++ {
-			sink += FindKey(cols.Keys, 0, Key(1<<60))
-		}
-		_ = sink
-	})
 
 	// Partition: the operator's two passes — histogram, then scatter —
-	// each need every tuple's bucket. The AoS path recomputes the
-	// range-partitioning mul/div per tuple per pass (what Partitioner
-	// .Bucket does); the SoA path runs the shift kernel once over the
-	// key column and reuses the ids in both passes.
+	// each recompute every tuple's range-partitioning bucket (what
+	// Partitioner.Bucket does).
 	const buckets = uint64(64)
 	const keySpace = uint64(1) << 24
-	const shift = 24 - 6
 	b.Run("partition-aos", func(b *testing.B) {
 		b.SetBytes(kernelN * Size)
 		var hist, off [buckets]int64
@@ -70,44 +57,14 @@ func BenchmarkColumnarKernel(b *testing.B) {
 		}
 		_, _ = hist, off
 	})
-	b.Run("partition-soa", func(b *testing.B) {
-		b.SetBytes(kernelN * 8)
-		ids := make([]int32, kernelN)
-		var hist, off [buckets]int64
-		for i := 0; i < b.N; i++ {
-			keys := cols.Keys
-			for j := range keys {
-				ids[j] = int32(keys[j] >> shift)
-			}
-			for _, id := range ids {
-				hist[id]++
-			}
-			for _, id := range ids {
-				off[id]++
-			}
-		}
-		_, _ = hist, off
-	})
 
-	// Sort: each iteration re-sorts a fresh copy of the same data; the
-	// copy cost is charged to both variants.
+	// Sort: each iteration re-sorts a fresh copy of the same data.
 	b.Run("sort-aos", func(b *testing.B) {
 		b.SetBytes(kernelN * Size)
 		buf := make([]Tuple, kernelN)
 		for i := 0; i < b.N; i++ {
 			copy(buf, ts)
 			SortSliceByKey(buf)
-		}
-	})
-	b.Run("sort-soa", func(b *testing.B) {
-		b.SetBytes(kernelN * Size)
-		buf := &Columns{}
-		buf.Resize(kernelN)
-		scratch := &Columns{}
-		for i := 0; i < b.N; i++ {
-			copy(buf.Keys, cols.Keys)
-			copy(buf.Vals, cols.Vals)
-			buf.SortByKey(scratch)
 		}
 	})
 }

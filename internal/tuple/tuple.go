@@ -4,9 +4,9 @@
 //
 // The paper (§6, "Evaluated operators") bases all experiments on 16-byte
 // tuples comprising an 8-byte integer key and an 8-byte integer payload,
-// "representing an in-memory columnar database". A []Tuple is exactly that
-// memory layout: a densely packed array of 16-byte records, which is what
-// the simulated memory system addresses.
+// standing for the key/value pairs of an in-memory column store. A []Tuple
+// is exactly that memory layout: a densely packed array of 16-byte
+// records, which is what the simulated memory system addresses.
 package tuple
 
 import (

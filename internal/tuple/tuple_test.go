@@ -184,3 +184,26 @@ func TestSplitEvenProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// Regression: SplitEven no longer formats a name per chunk, so its
+// allocations are exactly the output slice plus one Relation header per
+// chunk — independent of the parent's name length.
+func TestSplitEvenAllocs(t *testing.T) {
+	r := &Relation{Name: "a-relation-with-a-reasonably-long-name", Tuples: make([]Tuple, 1<<12)}
+	const n = 64
+	allocs := testing.AllocsPerRun(100, func() {
+		r.SplitEven(n)
+	})
+	// 1 for the []*Relation plus n Relation structs.
+	if allocs > n+1 {
+		t.Fatalf("SplitEven(%d) allocated %.1f times per run, want <= %d", n, allocs, n+1)
+	}
+}
+
+// ChunkName still provides the indexed display form on demand.
+func TestChunkName(t *testing.T) {
+	r := &Relation{Name: "rel"}
+	if got := r.ChunkName(3); got != "rel[3]" {
+		t.Fatalf("ChunkName(3) = %q, want %q", got, "rel[3]")
+	}
+}

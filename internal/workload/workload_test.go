@@ -26,37 +26,6 @@ func TestUniformDeterministic(t *testing.T) {
 	}
 }
 
-// TestUniformColumnsMatchesUniform pins the layout-invariance property:
-// UniformColumns produces exactly Uniform's key and value sequences at
-// any (seed, tuples, keySpace), and reusing the destination columns
-// regenerates in place without allocating.
-func TestUniformColumnsMatchesUniform(t *testing.T) {
-	prop := func(seed int64, tuples uint16, keySpace uint32) bool {
-		c := Config{Seed: seed, Tuples: int(tuples%4096) + 1, KeySpace: uint64(keySpace%65536) + 1}
-		rel := Uniform("ref", c)
-		cols := UniformColumns(nil, c)
-		if cols.Len() != len(rel.Tuples) {
-			return false
-		}
-		for i, tp := range rel.Tuples {
-			if cols.Keys[i] != tp.Key || cols.Vals[i] != tp.Val {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
-	}
-
-	c := Config{Seed: 7, Tuples: 2048, KeySpace: 1 << 16}
-	cols := UniformColumns(nil, c)
-	if allocs := testing.AllocsPerRun(10, func() { UniformColumns(cols, c) }); allocs > 1 {
-		// One allocation is the rng; the column storage must be reused.
-		t.Fatalf("regeneration into warm columns allocates %v times per run", allocs)
-	}
-}
-
 func TestUniformKeySpace(t *testing.T) {
 	r := Uniform("r", Config{Seed: 3, Tuples: 5000, KeySpace: 128})
 	for _, tp := range r.Tuples {
