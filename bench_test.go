@@ -745,14 +745,31 @@ func BenchmarkPooledRun(b *testing.B) {
 // engines — and reports sustained queries per second. One iteration is
 // one full batch: 8 tenants round-robining over every system shape.
 func BenchmarkServeQPS(b *testing.B) {
+	benchServeScanMix(b, serve.Config{})
+}
+
+// BenchmarkServeHarvest is the BenchmarkServeQPS scan mix served the way
+// mondrian-serve ships: a service registry, HarvestExchange and
+// RetainSpans, so every run collects engine metrics into its worker's
+// harvest registry and keeps its span tree. The gap to BenchmarkServeQPS
+// is the per-request cost of observability on the serving path.
+func BenchmarkServeHarvest(b *testing.B) {
+	benchServeScanMix(b, serve.Config{Obs: obs.NewRegistry(), HarvestExchange: true, RetainSpans: true})
+}
+
+// benchServeScanMix runs the serving benchmarks' scan batch through a
+// fresh scheduler built from cfg per iteration (Workers and QueueDepth are
+// set here).
+func benchServeScanMix(b *testing.B, cfg serve.Config) {
 	const requests, tenants = 64, 8
 	p := servingParams()
 	systems := simulate.Systems()
+	cfg.Workers, cfg.QueueDepth = runtime.GOMAXPROCS(0), requests
 	b.ReportAllocs()
 	b.ResetTimer()
 	var qps float64
 	for i := 0; i < b.N; i++ {
-		s := serve.New(serve.Config{Workers: runtime.GOMAXPROCS(0), QueueDepth: requests})
+		s := serve.New(cfg)
 		start := time.Now()
 		tickets := make([]*serve.Ticket, requests)
 		for j := range tickets {

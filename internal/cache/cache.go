@@ -52,27 +52,30 @@ func (s Stats) HitRate() float64 {
 	return float64(s.Hits) / float64(s.Accesses)
 }
 
+// line is one cache line's tag and replacement state, packed into 24
+// bytes: a pooled engine keeps every line of its caches alive between
+// runs, so line size is the bulk of a serving process's resident memory.
 type line struct {
-	tag int64
+	tag     int64
+	lastUse uint64
 	// gen stamps the Cache generation the line was filled in; a line is
-	// live only when valid and stamped with the current generation, so
-	// Reset and Flush can invalidate the whole cache by bumping the
-	// generation instead of clearing every line (pooled engines reset
-	// between every run — an O(size) wipe there is the difference
-	// between a cheap lifecycle and re-zeroing megabytes per query).
-	gen        uint64
-	valid      bool
+	// live only when stamped with the current generation, so Reset and
+	// Flush can invalidate the whole cache by bumping the generation
+	// instead of clearing every line (pooled engines reset between every
+	// run — an O(size) wipe there is the difference between a cheap
+	// lifecycle and re-zeroing megabytes per query). Generations start at
+	// 1, so a never-filled (zero) line is never live.
+	gen        uint32
 	dirty      bool
 	prefetched bool
-	lastUse    uint64
 }
 
 // Cache is one set-associative cache level.
 type Cache struct {
 	cfg   Config
-	sets  [][]line
+	lines []line // nsets × Ways, set-major
 	nsets int
-	gen   uint64
+	gen   uint32
 	tick  uint64
 	stats Stats
 
@@ -102,12 +105,7 @@ func New(cfg Config) *Cache {
 	if nsets == 0 {
 		panic("cache: fewer than one set")
 	}
-	sets := make([][]line, nsets)
-	backing := make([]line, nsets*cfg.Ways)
-	for i := range sets {
-		sets[i] = backing[i*cfg.Ways : (i+1)*cfg.Ways]
-	}
-	c := &Cache{cfg: cfg, sets: sets, nsets: nsets}
+	c := &Cache{cfg: cfg, lines: make([]line, nsets*cfg.Ways), nsets: nsets, gen: 1}
 	if isPow2(cfg.BlockBytes) && isPow2(nsets) {
 		c.pow2 = true
 		c.blockShift = log2(cfg.BlockBytes)
@@ -144,25 +142,40 @@ func (c *Cache) ResetStats() { c.stats = Stats{} }
 // without counting evictions — so a reset cache is indistinguishable from
 // a fresh New(cfg). The reusable scratch buffers keep their capacity.
 func (c *Cache) Reset() {
-	c.gen++
+	c.invalidate()
 	c.tick = 0
 	c.stats = Stats{}
+}
+
+// invalidate kills every line by advancing the generation. When the
+// 32-bit generation wraps, the lines are zeroed once, so no line stamped
+// 2^32 generations earlier can come back to life.
+func (c *Cache) invalidate() {
+	c.gen++
+	if c.gen == 0 {
+		clear(c.lines)
+		c.gen = 1
+	}
+}
+
+// set returns the ways of one set.
+func (c *Cache) set(si int) []line {
+	w := c.cfg.Ways
+	return c.lines[si*w : (si+1)*w : (si+1)*w]
 }
 
 // Flush invalidates the whole cache, returning the block addresses of all
 // dirty lines (which a memory system must write back).
 func (c *Cache) Flush() []int64 {
 	var wbs []int64
-	for si := range c.sets {
-		for wi := range c.sets[si] {
-			l := &c.sets[si][wi]
-			if l.valid && l.gen == c.gen && l.dirty {
-				wbs = append(wbs, c.blockAddr(si, l.tag))
-				c.stats.DirtyEvictions++
-			}
+	for i := range c.lines {
+		l := &c.lines[i]
+		if l.gen == c.gen && l.dirty {
+			wbs = append(wbs, c.blockAddr(i/c.cfg.Ways, l.tag))
+			c.stats.DirtyEvictions++
 		}
 	}
-	c.gen++
+	c.invalidate()
 	return wbs
 }
 
@@ -386,9 +399,10 @@ func (c *Cache) AccessHitRun(addr int64, count int, write bool) bool {
 
 // lookup returns the matching valid line, updating nothing.
 func (c *Cache) lookup(set int, tag int64) *line {
-	for wi := range c.sets[set] {
-		l := &c.sets[set][wi]
-		if l.valid && l.gen == c.gen && l.tag == tag {
+	ways := c.set(set)
+	for wi := range ways {
+		l := &ways[wi]
+		if l.gen == c.gen && l.tag == tag {
 			return l
 		}
 	}
@@ -398,23 +412,24 @@ func (c *Cache) lookup(set int, tag int64) *line {
 // insert allocates a line for (set, tag), evicting LRU. It returns the
 // writeback block address if the victim was dirty.
 func (c *Cache) insert(set int, tag int64, dirty, prefetched bool) (writeback int64, dirtyEvict bool) {
+	ways := c.set(set)
 	victim := 0
-	for wi := range c.sets[set] {
-		l := &c.sets[set][wi]
-		if !l.valid || l.gen != c.gen {
+	for wi := range ways {
+		l := &ways[wi]
+		if l.gen != c.gen {
 			victim = wi
 			break
 		}
-		if l.lastUse < c.sets[set][victim].lastUse {
+		if l.lastUse < ways[victim].lastUse {
 			victim = wi
 		}
 	}
-	v := &c.sets[set][victim]
-	if v.valid && v.gen == c.gen && v.dirty {
+	v := &ways[victim]
+	if v.gen == c.gen && v.dirty {
 		writeback = c.blockAddr(set, v.tag)
 		dirtyEvict = true
 		c.stats.DirtyEvictions++
 	}
-	*v = line{tag: tag, gen: c.gen, valid: true, dirty: dirty, prefetched: prefetched, lastUse: c.tick}
+	*v = line{tag: tag, lastUse: c.tick, gen: c.gen, dirty: dirty, prefetched: prefetched}
 	return writeback, dirtyEvict
 }

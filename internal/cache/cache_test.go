@@ -1,9 +1,11 @@
 package cache
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 // tiny returns a 4-set, 2-way, 64 B-block cache without prefetching.
@@ -195,5 +197,33 @@ func TestCacheInvariantsProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50, Rand: rng}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestLineSize pins the packed line layout: pooled engines keep every line
+// resident between runs, so a wider line grows a serving process's memory
+// by a third.
+func TestLineSize(t *testing.T) {
+	if got := unsafe.Sizeof(line{}); got != 24 {
+		t.Fatalf("line is %d bytes, want 24", got)
+	}
+}
+
+// TestGenerationWrap drives the 32-bit generation through its wrap: the
+// reset that wraps must leave a cache indistinguishable from a fresh one,
+// not one whose never-filled (generation-0) lines read as live tag-0 hits.
+func TestGenerationWrap(t *testing.T) {
+	c := tiny()
+	c.Access(64, true)
+	c.gen = math.MaxUint32 // as after 2^32-1 resets
+	c.Access(128, true)
+	c.Reset()
+	if c.gen == 0 {
+		t.Fatal("generation wrapped to 0, which never-filled lines carry")
+	}
+	for _, addr := range []int64{0, 64, 128} {
+		if r := c.Access(addr, false); r.Hit {
+			t.Fatalf("access %d hit after the wrapping reset", addr)
+		}
 	}
 }

@@ -20,6 +20,7 @@ package engine
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"github.com/ecocloud-go/mondrian/internal/cache"
@@ -140,6 +141,31 @@ func (c Config) Validate() error {
 	}
 	if c.BarrierNs < 0 {
 		return fmt.Errorf("engine: negative BarrierNs %v", c.BarrierNs)
+	}
+	// Every float parameter must be finite: NaN or ±Inf has no simulated
+	// meaning, and a NaN would also break the engine pool's key equality.
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{
+		{"BarrierNs", c.BarrierNs},
+		{"Core.FreqGHz", c.Core.FreqGHz},
+		{"Core.PeakPowerW", c.Core.PeakPowerW},
+		{"L1.HitLatencyNs", c.L1.HitLatencyNs},
+		{"LLC.HitLatencyNs", c.LLC.HitLatencyNs},
+		{"Geometry.PeakBandwidthGBs", c.Geometry.PeakBandwidthGBs},
+		{"Timing.TCK", c.Timing.TCK},
+		{"Timing.TRAS", c.Timing.TRAS},
+		{"Timing.TRCD", c.Timing.TRCD},
+		{"Timing.TCAS", c.Timing.TCAS},
+		{"Timing.TWR", c.Timing.TWR},
+		{"Timing.TRP", c.Timing.TRP},
+		{"Timing.TREFI", c.Timing.TREFI},
+		{"Timing.TRFC", c.Timing.TRFC},
+	} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("engine: non-finite %s %v", f.name, f.v)
+		}
 	}
 	if c.StreamBuffers < 0 {
 		return fmt.Errorf("engine: negative StreamBuffers %d (want 0 for the architectural default)", c.StreamBuffers)
@@ -263,6 +289,11 @@ type Engine struct {
 	stolenTasks uint64
 	splitKeys   uint64
 	skewStats   []skewStat
+
+	// names interns CollectObs's labelled metric names (obs.go). Built on
+	// the first harvest and kept across Reset: the engine's shape never
+	// changes.
+	names *obsNames
 }
 
 // New builds an engine from a configuration: the system spec (Config.Spec,

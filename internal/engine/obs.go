@@ -306,16 +306,20 @@ var (
 )
 
 // CollectObs harvests every deterministic run statistic into reg: totals,
-// per-unit and per-vault counters (recorded through per-unit shards and
-// merged in unit-ID order — the same shard/merge discipline the worker
-// pool uses), per-link SerDes traffic, hop and step-duration histograms,
-// exchange summaries, and per-phase attribution. Call after the run
-// completes; a nil registry is a no-op.
+// per-unit and per-vault counters, per-link SerDes traffic, hop and
+// step-duration histograms, exchange summaries, and per-phase
+// attribution. Call after the run completes; a nil registry is a no-op.
+//
+// Every labelled name comes from the engine's interned table (obsNames),
+// so a registry that has already seen this engine's shape only updates
+// existing handles: the warm harvest allocates nothing (pinned by
+// TestCollectObsWarmZeroAlloc).
 func (e *Engine) CollectObs(reg *obs.Registry) {
 	if reg == nil {
 		return
 	}
 	t := e.obsSnapshot()
+	names := e.obsNames()
 
 	reg.Gauge("sim_total_ns").Set(e.totalNs)
 	reg.Counter("steps_total").Add(uint64(len(e.steps)))
@@ -326,11 +330,11 @@ func (e *Engine) CollectObs(reg *obs.Registry) {
 		reg.Gauge("run_ipc").Set(t.insts / (e.totalNs * e.cfg.Core.FreqGHz) / float64(len(e.units)))
 	}
 
-	recordCacheStats(reg, "l1", t.l1)
-	recordCacheStats(reg, "tlb_l1", t.tlb1)
-	recordCacheStats(reg, "tlb_l2", t.tlb2)
-	recordCacheStats(reg, "llc", t.llc)
-	recordDRAMStats(reg, "dram", t.dram)
+	recordCacheStats(reg, &l1StatNames, t.l1)
+	recordCacheStats(reg, &tlbL1StatNames, t.tlb1)
+	recordCacheStats(reg, &tlbL2StatNames, t.tlb2)
+	recordCacheStats(reg, &llcStatNames, t.llc)
+	recordDRAMStats(reg, t.dram)
 
 	reg.Counter("mesh_messages").Add(t.mesh.Messages)
 	reg.Counter("mesh_bytes").Add(t.mesh.Bytes)
@@ -342,11 +346,10 @@ func (e *Engine) CollectObs(reg *obs.Registry) {
 
 	reg.Counter("serdes_messages").Add(t.serdesMsgs)
 	reg.Counter("serdes_bytes").Add(t.serdesBytes)
-	names := e.Sys.Net.LinkNames()
 	for i, l := range e.Sys.Net.Links() {
 		s := l.Stats()
-		reg.Counter(obs.Label("serdes_link_bytes", "link", names[i])).Add(s.Bytes)
-		reg.Counter(obs.Label("serdes_link_messages", "link", names[i])).Add(s.Messages)
+		reg.Counter(names.links[i].bytes).Add(s.Bytes)
+		reg.Counter(names.links[i].messages).Add(s.Messages)
 	}
 
 	reg.Counter("stream_fill_bytes").Add(t.streamFill)
@@ -376,30 +379,21 @@ func (e *Engine) CollectObs(reg *obs.Registry) {
 		stepHist.Observe(st.Ns)
 	}
 
-	// Per-unit counters go through one shard per unit, merged in unit-ID
-	// order — production exercise of the same discipline the worker pool
-	// relies on for lock-free recording.
-	shards := make([]*obs.Registry, len(e.units))
 	for i, u := range e.units {
-		sh := reg.NewShard()
-		id := strconv.Itoa(i)
-		sh.Gauge(obs.Label("unit_busy_ns", "unit", id)).Set(u.busyNs)
-		sh.Gauge(obs.Label("unit_instructions", "unit", id)).Set(u.instTotal)
-		sh.Counter(obs.Label("unit_accesses", "unit", id)).Add(u.accessTotal + u.accesses)
-		shards[i] = sh
-	}
-	if err := reg.Merge(shards...); err != nil {
-		panic(fmt.Sprintf("engine: per-unit shard merge: %v", err)) // disjoint names; unreachable
+		n := &names.units[i]
+		reg.Gauge(n.busyNs).Set(u.busyNs)
+		reg.Gauge(n.instructions).Set(u.instTotal)
+		reg.Counter(n.accesses).Add(u.accessTotal + u.accesses)
 	}
 
-	for _, v := range e.Sys.Vaults() {
-		id := strconv.Itoa(v.ID)
+	for i, v := range e.Sys.Vaults() {
+		n := &names.vaults[i]
 		ds := v.DRAM.Stats()
-		reg.Counter(obs.Label("vault_dram_row_hits", "vault", id)).Add(ds.RowHits)
-		reg.Counter(obs.Label("vault_dram_activations", "vault", id)).Add(ds.Activations)
-		reg.Counter(obs.Label("vault_dram_bytes", "vault", id)).Add(ds.TotalBytes())
+		reg.Counter(n.rowHits).Add(ds.RowHits)
+		reg.Counter(n.activations).Add(ds.Activations)
+		reg.Counter(n.dramBytes).Add(ds.TotalBytes())
 		if v.PermutedWrites > 0 {
-			reg.Counter(obs.Label("vault_permuted_writes", "vault", id)).Add(v.PermutedWrites)
+			reg.Counter(n.permutedWrites).Add(v.PermutedWrites)
 		}
 	}
 
@@ -409,52 +403,161 @@ func (e *Engine) CollectObs(reg *obs.Registry) {
 		reg.Counter("skew_tasks_stolen").Add(e.stolenTasks)
 		reg.Counter("skew_split_keys").Add(e.splitKeys)
 		for _, s := range e.skewStats {
-			lbl := func(name string) string { return obs.Label(name, "phase", s.phase) }
-			reg.Gauge(lbl("phase_load_max")).Set(s.maxLoad)
-			reg.Gauge(lbl("phase_load_mean")).Set(s.meanLoad)
-			reg.Gauge(lbl("phase_hot_keys")).Set(float64(s.hotKeys))
+			n := names.phase(s.phase)
+			reg.Gauge(n.loadMax).Set(s.maxLoad)
+			reg.Gauge(n.loadMean).Set(s.meanLoad)
+			reg.Gauge(n.hotKeys).Set(float64(s.hotKeys))
 		}
 	}
 
 	for _, p := range e.phases {
-		lbl := func(name string) string { return obs.Label(name, "phase", p.Name) }
+		n := names.phase(p.Name)
 		d := p.deltas
-		reg.Gauge(lbl("phase_sim_ns")).Set(p.SimulatedNs())
-		reg.Gauge(lbl("phase_instructions")).Set(d.insts)
-		reg.Counter(lbl("phase_accesses")).Add(d.accesses)
-		reg.Counter(lbl("phase_l1_misses")).Add(d.l1.Misses)
-		reg.Counter(lbl("phase_dram_row_hits")).Add(d.dram.RowHits)
-		reg.Counter(lbl("phase_dram_row_conflicts")).Add(d.dram.RowConflicts)
-		reg.Counter(lbl("phase_dram_bytes")).Add(d.dram.TotalBytes())
-		reg.Counter(lbl("phase_mesh_bytes")).Add(d.mesh.Bytes)
-		reg.Counter(lbl("phase_serdes_bytes")).Add(d.serdesBytes)
-		reg.Counter(lbl("phase_stream_fill_bytes")).Add(d.streamFill)
-		reg.Counter(lbl("phase_permuted_writes")).Add(d.permWrites)
+		reg.Gauge(n.simNs).Set(p.SimulatedNs())
+		reg.Gauge(n.instructions).Set(d.insts)
+		reg.Counter(n.accesses).Add(d.accesses)
+		reg.Counter(n.l1Misses).Add(d.l1.Misses)
+		reg.Counter(n.dramRowHits).Add(d.dram.RowHits)
+		reg.Counter(n.dramRowConflicts).Add(d.dram.RowConflicts)
+		reg.Counter(n.dramBytes).Add(d.dram.TotalBytes())
+		reg.Counter(n.meshBytes).Add(d.mesh.Bytes)
+		reg.Counter(n.serdesBytes).Add(d.serdesBytes)
+		reg.Counter(n.streamFillBytes).Add(d.streamFill)
+		reg.Counter(n.permutedWrites).Add(d.permWrites)
 		if dur := p.SimulatedNs(); dur > 0 && len(e.units) > 0 {
-			reg.Gauge(lbl("phase_ipc")).Set(d.insts / (dur * e.cfg.Core.FreqGHz) / float64(len(e.units)))
+			reg.Gauge(n.ipc).Set(d.insts / (dur * e.cfg.Core.FreqGHz) / float64(len(e.units)))
 		}
 	}
 }
 
-func recordCacheStats(reg *obs.Registry, prefix string, s cache.Stats) {
-	reg.Counter(prefix + "_accesses").Add(s.Accesses)
-	reg.Counter(prefix + "_hits").Add(s.Hits)
-	reg.Counter(prefix + "_misses").Add(s.Misses)
-	reg.Counter(prefix + "_dirty_evictions").Add(s.DirtyEvictions)
-	reg.Counter(prefix + "_prefetch_issued").Add(s.PrefetchIssued)
-	reg.Counter(prefix + "_prefetch_hits").Add(s.PrefetchHits)
+// obsNames interns the labelled metric names CollectObs writes. An engine's
+// units, vaults and links are fixed at construction, and pooled engines
+// outlive their runs, so the table is built on the first harvest and kept
+// across Reset. Phase names are interned as they first appear; the set is
+// bounded by the operators and plan stages the engine has run.
+type obsNames struct {
+	units  []unitNames
+	vaults []vaultNames
+	links  []linkNames
+	phases map[string]*phaseNames
 }
 
-func recordDRAMStats(reg *obs.Registry, prefix string, s dram.Stats) {
-	reg.Counter(prefix + "_reads").Add(s.Reads)
-	reg.Counter(prefix + "_writes").Add(s.Writes)
-	reg.Counter(prefix + "_read_bytes").Add(s.ReadBytes)
-	reg.Counter(prefix + "_write_bytes").Add(s.WriteBytes)
-	reg.Counter(prefix + "_activations").Add(s.Activations)
-	reg.Counter(prefix + "_row_hits").Add(s.RowHits)
-	reg.Counter(prefix + "_row_cold_misses").Add(s.RowColdMisses)
-	reg.Counter(prefix + "_row_conflicts").Add(s.RowConflicts)
-	reg.Gauge(prefix + "_bus_busy_ns").Set(s.BusNs)
+type unitNames struct{ busyNs, instructions, accesses string }
+
+type vaultNames struct{ rowHits, activations, dramBytes, permutedWrites string }
+
+type linkNames struct{ bytes, messages string }
+
+type phaseNames struct {
+	simNs, instructions, accesses, l1Misses             string
+	dramRowHits, dramRowConflicts, dramBytes, meshBytes string
+	serdesBytes, streamFillBytes, permutedWrites, ipc   string
+	loadMax, loadMean, hotKeys                          string // skew-aware runs
+}
+
+func (e *Engine) obsNames() *obsNames {
+	if e.names != nil {
+		return e.names
+	}
+	n := &obsNames{phases: make(map[string]*phaseNames)}
+	for i := range e.units {
+		id := strconv.Itoa(i)
+		n.units = append(n.units, unitNames{
+			busyNs:       obs.Label("unit_busy_ns", "unit", id),
+			instructions: obs.Label("unit_instructions", "unit", id),
+			accesses:     obs.Label("unit_accesses", "unit", id),
+		})
+	}
+	for _, v := range e.Sys.Vaults() {
+		id := strconv.Itoa(v.ID)
+		n.vaults = append(n.vaults, vaultNames{
+			rowHits:        obs.Label("vault_dram_row_hits", "vault", id),
+			activations:    obs.Label("vault_dram_activations", "vault", id),
+			dramBytes:      obs.Label("vault_dram_bytes", "vault", id),
+			permutedWrites: obs.Label("vault_permuted_writes", "vault", id),
+		})
+	}
+	for _, l := range e.Sys.Net.LinkNames() {
+		n.links = append(n.links, linkNames{
+			bytes:    obs.Label("serdes_link_bytes", "link", l),
+			messages: obs.Label("serdes_link_messages", "link", l),
+		})
+	}
+	e.names = n
+	return n
+}
+
+// phase returns the interned names of one phase's series, building them
+// on the phase's first appearance.
+func (n *obsNames) phase(name string) *phaseNames {
+	if p, ok := n.phases[name]; ok {
+		return p
+	}
+	lbl := func(family string) string { return obs.Label(family, "phase", name) }
+	p := &phaseNames{
+		simNs:            lbl("phase_sim_ns"),
+		instructions:     lbl("phase_instructions"),
+		accesses:         lbl("phase_accesses"),
+		l1Misses:         lbl("phase_l1_misses"),
+		dramRowHits:      lbl("phase_dram_row_hits"),
+		dramRowConflicts: lbl("phase_dram_row_conflicts"),
+		dramBytes:        lbl("phase_dram_bytes"),
+		meshBytes:        lbl("phase_mesh_bytes"),
+		serdesBytes:      lbl("phase_serdes_bytes"),
+		streamFillBytes:  lbl("phase_stream_fill_bytes"),
+		permutedWrites:   lbl("phase_permuted_writes"),
+		ipc:              lbl("phase_ipc"),
+		loadMax:          lbl("phase_load_max"),
+		loadMean:         lbl("phase_load_mean"),
+		hotKeys:          lbl("phase_hot_keys"),
+	}
+	n.phases[name] = p
+	return p
+}
+
+// cacheStatNames spells one cache level's counter names; the tables are
+// built once at package init, so the harvest concatenates nothing.
+type cacheStatNames struct {
+	accesses, hits, misses, dirtyEvictions, prefetchIssued, prefetchHits string
+}
+
+func newCacheStatNames(prefix string) cacheStatNames {
+	return cacheStatNames{
+		accesses:       prefix + "_accesses",
+		hits:           prefix + "_hits",
+		misses:         prefix + "_misses",
+		dirtyEvictions: prefix + "_dirty_evictions",
+		prefetchIssued: prefix + "_prefetch_issued",
+		prefetchHits:   prefix + "_prefetch_hits",
+	}
+}
+
+var (
+	l1StatNames    = newCacheStatNames("l1")
+	tlbL1StatNames = newCacheStatNames("tlb_l1")
+	tlbL2StatNames = newCacheStatNames("tlb_l2")
+	llcStatNames   = newCacheStatNames("llc")
+)
+
+func recordCacheStats(reg *obs.Registry, n *cacheStatNames, s cache.Stats) {
+	reg.Counter(n.accesses).Add(s.Accesses)
+	reg.Counter(n.hits).Add(s.Hits)
+	reg.Counter(n.misses).Add(s.Misses)
+	reg.Counter(n.dirtyEvictions).Add(s.DirtyEvictions)
+	reg.Counter(n.prefetchIssued).Add(s.PrefetchIssued)
+	reg.Counter(n.prefetchHits).Add(s.PrefetchHits)
+}
+
+func recordDRAMStats(reg *obs.Registry, s dram.Stats) {
+	reg.Counter("dram_reads").Add(s.Reads)
+	reg.Counter("dram_writes").Add(s.Writes)
+	reg.Counter("dram_read_bytes").Add(s.ReadBytes)
+	reg.Counter("dram_write_bytes").Add(s.WriteBytes)
+	reg.Counter("dram_activations").Add(s.Activations)
+	reg.Counter("dram_row_hits").Add(s.RowHits)
+	reg.Counter("dram_row_cold_misses").Add(s.RowColdMisses)
+	reg.Counter("dram_row_conflicts").Add(s.RowConflicts)
+	reg.Gauge("dram_bus_busy_ns").Set(s.BusNs)
 }
 
 // BuildSpans constructs the simulated-time span tree: run → phase → step

@@ -68,7 +68,7 @@ func TestPhaseTracking(t *testing.T) {
 	if snap.Counters[`phase_accesses{phase="partition#2"}`] != 256 {
 		t.Errorf("per-phase counter missing: %v", snap.Counters[`phase_accesses{phase="partition#2"}`])
 	}
-	// Per-unit counters arrive via the shard/merge path.
+	// Per-unit counters carry the unit label.
 	if snap.Counters[`unit_accesses{unit="0"}`] != 768 {
 		t.Errorf("unit_accesses{unit=0} = %d, want 768", snap.Counters[`unit_accesses{unit="0"}`])
 	}

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"fmt"
 	"runtime"
 	"sync"
 )
@@ -26,7 +25,7 @@ type Pool struct {
 	perKey int
 
 	mu    sync.Mutex
-	idle  map[string][]*Engine
+	idle  map[poolKey][]*Engine
 	stats PoolStats
 }
 
@@ -46,33 +45,36 @@ func NewPool(perKey int) *Pool {
 	if perKey <= 0 {
 		perKey = runtime.GOMAXPROCS(0)
 	}
-	return &Pool{perKey: perKey, idle: make(map[string][]*Engine)}
+	return &Pool{perKey: perKey, idle: make(map[poolKey][]*Engine)}
 }
 
-// poolKey canonicalizes a configuration into the pool's map key: the
-// resolved spec plus the config with the two pointer fields zeroed — Spec
-// (already folded into the resolved spec) and Obs (per-run binding).
-// Every remaining Config field is a plain value struct, so %+v is a
-// complete, collision-free rendering.
-func poolKey(cfg Config) (string, error) {
-	sp, err := cfg.resolveSpec()
-	if err != nil {
-		return "", err
-	}
-	flat := cfg
-	flat.Spec = nil
-	flat.Obs = nil
-	return fmt.Sprintf("%+v|%+v", sp, flat), nil
+// poolKey is the pool's map key: the resolved spec plus the config with
+// its two pointer fields zeroed — Spec (already folded into the resolved
+// spec) and Obs (per-run binding). Every remaining Config field is a plain
+// comparable value, so key equality is exactly configuration equality;
+// a field that could not be compared would fail to compile as a map key.
+// Config.Validate rejects non-finite floats, so no NaN ever reaches a key
+// (NaN != NaN would park every release under a fresh entry).
+type poolKey struct {
+	spec SystemSpec
+	cfg  Config
+}
+
+func keyOf(spec SystemSpec, cfg Config) poolKey {
+	cfg.Spec = nil
+	cfg.Obs = nil
+	return poolKey{spec: spec, cfg: cfg}
 }
 
 // Acquire returns a pristine engine for cfg: a reset idle engine when one
 // is parked under cfg's key, a fresh New(cfg) otherwise. The caller owns
 // the engine until Release.
 func (p *Pool) Acquire(cfg Config) (*Engine, error) {
-	key, err := poolKey(cfg)
+	sp, err := cfg.resolveSpec()
 	if err != nil {
 		return nil, err
 	}
+	key := keyOf(sp, cfg)
 	p.mu.Lock()
 	if list := p.idle[key]; len(list) > 0 {
 		e := list[len(list)-1]
@@ -99,10 +101,7 @@ func (p *Pool) Release(e *Engine) {
 	if e == nil {
 		return
 	}
-	key, err := poolKey(e.cfg)
-	if err != nil {
-		return // constructed engines always resolve; defensive only
-	}
+	key := keyOf(e.spec, e.cfg)
 	e.Reset()
 	p.mu.Lock()
 	defer p.mu.Unlock()

@@ -16,8 +16,9 @@ import "github.com/ecocloud-go/mondrian/internal/obs"
 //     buffers and counters, link/mesh stats, vault allocators and
 //     permutation regions, step/phase/exchange/skew accounting) — all of
 //     it cleared to construction values;
-//   - host-side scratch capacity (trace buffers, cache run buffers) —
-//     retained, so pooled re-runs reuse it instead of reallocating.
+//   - host-side scratch capacity (trace buffers, cache run buffers, the
+//     interned obs metric names) — retained, so pooled re-runs reuse it
+//     instead of reallocating.
 
 // Reset restores the engine to its just-constructed state. Regions,
 // readers and results handed out by previous runs are invalidated — the
@@ -64,7 +65,7 @@ func (e *Engine) Reset() {
 	e.tracer = nil
 	e.inStep = false
 	e.profile = StepProfile{}
-	e.snap = snapshot{}
+	e.snap = snapshot{vaultBusy: e.snap.vaultBusy[:0], linkBusy: e.snap.linkBusy[:0]}
 
 	// Run accounting is released, not truncated: results returned by the
 	// previous run alias these slices (Result.Steps aliases e.steps), so

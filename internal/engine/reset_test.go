@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"math"
 	"testing"
 
 	"github.com/ecocloud-go/mondrian/internal/dram"
@@ -201,5 +202,29 @@ func TestPoolRebindsObsRegistry(t *testing.T) {
 	e2.SetObs(nil)
 	if e2.Config().Obs != nil {
 		t.Fatal("SetObs(nil) did not clear the registry")
+	}
+}
+
+// TestPoolRejectsNonFiniteConfig pins the struct pool key's precondition:
+// NaN never compares equal, so a NaN config that reached the key would
+// park every release under a fresh idle entry. Validate refuses
+// non-finite floats before an engine is ever built, so none is parked.
+func TestPoolRejectsNonFiniteConfig(t *testing.T) {
+	p := NewPool(2)
+	nan := mondrianConfig()
+	nan.BarrierNs = math.NaN()
+	inf := nmpConfig(false)
+	inf.L1.HitLatencyNs = math.Inf(1)
+	for name, cfg := range map[string]Config{"BarrierNs=NaN": nan, "L1.HitLatencyNs=+Inf": inf} {
+		for i := 0; i < 3; i++ {
+			e, err := p.Acquire(cfg)
+			if err == nil {
+				p.Release(e)
+				t.Fatalf("%s: Acquire accepted a non-finite config", name)
+			}
+		}
+	}
+	if n := p.Idle(); n != 0 {
+		t.Fatalf("idle = %d after rejected acquires, want 0", n)
 	}
 }

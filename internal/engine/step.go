@@ -62,8 +62,10 @@ type snapshot struct {
 	dramBytes uint64
 }
 
+// takeSnapshot reuses the previous snapshot's slices: that snapshot is dead
+// once its step has closed, so steady-state steps allocate no storage.
 func (e *Engine) takeSnapshot() snapshot {
-	var s snapshot
+	s := snapshot{vaultBusy: e.snap.vaultBusy[:0], linkBusy: e.snap.linkBusy[:0]}
 	for _, v := range e.Sys.Vaults() {
 		s.vaultBusy = append(s.vaultBusy, v.DRAM.BusyNs())
 	}

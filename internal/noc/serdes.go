@@ -98,6 +98,7 @@ type Network struct {
 
 	cpuTx, cpuRx []*SerDesLink   // CPU→cube i and cube i→CPU
 	cubeLinks    [][]*SerDesLink // cubeLinks[src][dst], src≠dst
+	links        []*SerDesLink   // every link, in Links() order
 }
 
 // NewNetwork builds the SerDes network for the given topology.
@@ -123,26 +124,25 @@ func NewNetwork(topology Topology, cubes int) *Network {
 			}
 		}
 	}
-	return n
-}
-
-// Links returns every distinct link direction in the network (for energy
-// accounting and busy-time bounds).
-func (n *Network) Links() []*SerDesLink {
-	out := make([]*SerDesLink, 0, 2*len(n.cpuTx))
-	out = append(out, n.cpuTx...)
-	out = append(out, n.cpuRx...)
-	if n.Topology == FullyConnected {
-		for i := 0; i < n.Cubes; i++ {
-			for j := 0; j < n.Cubes; j++ {
+	n.links = append(n.links, n.cpuTx...)
+	n.links = append(n.links, n.cpuRx...)
+	if topology == FullyConnected {
+		for i := 0; i < cubes; i++ {
+			for j := 0; j < cubes; j++ {
 				if i != j {
-					out = append(out, n.cubeLinks[i][j])
+					n.links = append(n.links, n.cubeLinks[i][j])
 				}
 			}
 		}
 	}
-	return out
+	return n
 }
+
+// Links returns every distinct link direction in the network (for energy
+// accounting and busy-time bounds). The slice is built once at
+// construction and shared by every call, so the per-step snapshots that
+// walk it allocate nothing; callers must treat it as read-only.
+func (n *Network) Links() []*SerDesLink { return n.links }
 
 // LinkNames returns a stable human-readable name for every link, aligned
 // index-for-index with Links(): cpu_tx_<cube> (CPU→cube), cpu_rx_<cube>

@@ -138,11 +138,12 @@ type Config struct {
 	FootprintBudgetBytes int64
 	// Obs, when non-nil, receives the per-tenant service metrics.
 	Obs *obs.Registry
-	// HarvestExchange additionally attaches a private engine registry to
-	// every run that does not bring its own, so tenant_exchange_bytes is
-	// populated. Off by default: engine-level metric collection costs
-	// real host time per run, which a throughput-focused deployment
-	// keeps off the hot path.
+	// HarvestExchange additionally attaches the executing worker's
+	// private harvest registry to every run that does not bring its own,
+	// so tenant_exchange_bytes is populated. Off by default: engine-level
+	// metric collection costs host time per run (one update per series
+	// once the worker has seen the run's shape), which a
+	// throughput-focused deployment keeps off the hot path.
 	HarvestExchange bool
 
 	// WindowDur is the rotation period of the rolling live windows
@@ -168,7 +169,7 @@ type Config struct {
 	// "what just went wrong" artifact, written at most once.
 	FlightDump io.Writer
 	// RetainSpans keeps each run's span tree in its flight record (and
-	// attaches a private registry like HarvestExchange so spans exist),
+	// attaches the harvest registry like HarvestExchange so spans exist),
 	// serving /trace/{ticket}. Costs engine-metric collection per run
 	// plus the retained trees' memory; responses stay stripped either
 	// way.
@@ -262,6 +263,26 @@ type Scheduler struct {
 	flightNext   int            // next write slot
 	flightLen    int            // live records (≤ cap)
 	flightDumped bool           // FlightDump fired already
+
+	// Harvest registries, one per executor: each worker goroutine's, and
+	// dispatchNext's (dispatchMu keeps that one single-owner if several
+	// goroutines drive dispatchNext at once). Entries are nil unless the
+	// scheduler harvests; see newHarvest.
+	workerHarvests  []*obs.Registry
+	dispatchMu      sync.Mutex
+	dispatchHarvest *obs.Registry
+}
+
+// newHarvest returns one executor's private harvest registry, or nil when
+// the scheduler does not harvest. The registry lives as long as its
+// executor, so after the first run of a shape CollectObs only updates
+// existing series, and it holds one set of series per shape served; a
+// run's values are read as deltas across the run.
+func (s *Scheduler) newHarvest() *obs.Registry {
+	if s.cfg.Obs != nil && (s.cfg.HarvestExchange || s.cfg.RetainSpans) {
+		return obs.NewRegistry()
+	}
+	return nil
 }
 
 // New builds a scheduler and starts cfg.Workers workers. A configured
@@ -277,10 +298,13 @@ func New(cfg Config) *Scheduler {
 		s.flight = make([]FlightRecord, n)
 	}
 	s.lastAdvance = cfg.now()
+	s.dispatchHarvest = s.newHarvest()
 	s.cond = sync.NewCond(&s.mu)
 	for i := 0; i < cfg.Workers; i++ {
+		h := s.newHarvest()
+		s.workerHarvests = append(s.workerHarvests, h)
 		s.wg.Add(1)
-		go s.worker()
+		go s.worker(h)
 	}
 	return s
 }
@@ -495,9 +519,9 @@ func (s *Scheduler) popLocked() *item {
 	return it
 }
 
-// worker is one background executor: pop under the fairness policy, run,
-// account, repeat until closed.
-func (s *Scheduler) worker() {
+// worker is one background executor: pop under the fairness policy, run
+// (harvesting into harvest), account, repeat until closed.
+func (s *Scheduler) worker(harvest *obs.Registry) {
 	defer s.wg.Done()
 	for {
 		s.mu.Lock()
@@ -511,7 +535,7 @@ func (s *Scheduler) worker() {
 		}
 		it := s.popLocked()
 		s.mu.Unlock()
-		s.execute(it)
+		s.execute(harvest, it)
 	}
 }
 
@@ -520,6 +544,8 @@ func (s *Scheduler) worker() {
 // this is the only executor, which makes dispatch order — and therefore
 // the fairness policy — directly observable in tests.
 func (s *Scheduler) dispatchNext() bool {
+	s.dispatchMu.Lock()
+	defer s.dispatchMu.Unlock()
 	s.mu.Lock()
 	if s.queued == 0 {
 		s.mu.Unlock()
@@ -527,25 +553,31 @@ func (s *Scheduler) dispatchNext() bool {
 	}
 	it := s.popLocked()
 	s.mu.Unlock()
-	s.execute(it)
+	s.execute(s.dispatchHarvest, it)
 	return true
 }
 
-// execute runs one dequeued item to completion: simulate, release the
-// footprint reservation, account per-tenant metrics, land the flight
-// record, resolve the ticket.
-func (s *Scheduler) execute(it *item) {
+// execute runs one dequeued item to completion on the executor owning
+// harvest: simulate, release the footprint reservation, account
+// per-tenant metrics, land the flight record, resolve the ticket.
+func (s *Scheduler) execute(harvest *obs.Registry, it *item) {
 	resp := Response{QueueNs: time.Since(it.enqueued).Nanoseconds()}
 	p := it.req.Params
-	// Harvest engine-level statistics (exchange bytes, spans) through a
-	// private registry when the caller did not bring one — then strip the
-	// obs-derived report fields again so a served Result stays
+	// Harvest engine-level statistics (exchange bytes, spans) through the
+	// executor's registry when the caller did not bring one — then strip
+	// the obs-derived report fields again so a served Result stays
 	// byte-identical to a direct simulate.Run of the same request. The
 	// phase/span trees move into the flight record instead of vanishing.
-	var priv *obs.Registry
-	if s.cfg.Obs != nil && (s.cfg.HarvestExchange || s.cfg.RetainSpans) && p.Obs == nil {
-		priv = obs.NewRegistry()
+	// The registry accumulates across runs, so this run's exchange bytes
+	// are the counter's delta.
+	priv := harvest
+	if p.Obs != nil {
+		priv = nil // the caller's own registry takes the run
+	}
+	var exchangeBefore uint64
+	if priv != nil {
 		p.Obs = priv
+		exchangeBefore = priv.Counter("exchange_bytes").Value()
 	}
 	rec := FlightRecord{
 		Ticket: it.ticket.id, Tenant: it.tenant, Outcome: OutcomeOK,
@@ -583,7 +615,7 @@ func (s *Scheduler) execute(it *item) {
 
 	s.mu.Lock()
 	s.footprint -= it.footprint
-	s.accountLocked(it, &resp, priv)
+	s.accountLocked(it, &resp, priv, exchangeBefore)
 	s.recordFlightLocked(rec)
 	var dump []FlightRecord
 	var ierr *simulate.InternalError
@@ -603,8 +635,10 @@ var queueWaitBounds = []float64{1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10}
 // accountLocked lands one completed run on the per-tenant metrics: the
 // cumulative registry (serialized by the scheduler mutex, and
 // Concurrent() besides for live readers) plus the rolling windows and
-// SLO tracker the /tenants snapshot serves.
-func (s *Scheduler) accountLocked(it *item, resp *Response, priv *obs.Registry) {
+// SLO tracker the /tenants snapshot serves. priv is the run's harvest
+// registry (nil when not harvesting) and exchangeBefore its exchange_bytes
+// count before the run.
+func (s *Scheduler) accountLocked(it *item, resp *Response, priv *obs.Registry, exchangeBefore uint64) {
 	s.advanceLocked()
 	t := s.tenantLocked(it.tenant)
 	t.runs++
@@ -637,7 +671,7 @@ func (s *Scheduler) accountLocked(it *item, resp *Response, priv *obs.Registry) 
 		reg.Gauge(label("tenant_sim_ns")).Add(simNs)
 	}
 	if priv != nil {
-		xb := priv.Counter("exchange_bytes").Value()
+		xb := priv.Counter("exchange_bytes").Value() - exchangeBefore
 		t.exWin.Record(float64(xb))
 		if reg != nil {
 			reg.Counter(label("tenant_exchange_bytes")).Add(xb)
