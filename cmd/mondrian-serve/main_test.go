@@ -79,6 +79,8 @@ func TestHandlerEndpoints(t *testing.T) {
 		"# TYPE tenant_runs counter",
 		`tenant_queue_wait_p99_ns{tenant="tenant-0"}`,
 		`tenant_latency_p50_ns{tenant="tenant-1"}`,
+		"dataset_cache_hits ", "dataset_cache_misses ",
+		"dataset_cache_evictions ", "dataset_cache_bytes ",
 	} {
 		if !strings.Contains(body, want) {
 			t.Fatalf("/metrics missing %q:\n%s", want, body)

@@ -65,10 +65,9 @@ func TestConcurrentRegistryHammer(t *testing.T) {
 	}
 }
 
-// TestConcurrentMergeAndIdempotence: Merge still works in Concurrent
-// mode (shards are plain registries), and Concurrent() is idempotent and
-// nil-safe.
-func TestConcurrentMergeAndIdempotence(t *testing.T) {
+// TestConcurrentIdempotence: Concurrent() is idempotent and nil-safe,
+// and a concurrent registry's handles stay usable under contention.
+func TestConcurrentIdempotence(t *testing.T) {
 	var nilReg *Registry
 	if nilReg.Concurrent() != nil {
 		t.Fatalf("nil.Concurrent() must stay nil")
@@ -77,16 +76,8 @@ func TestConcurrentMergeAndIdempotence(t *testing.T) {
 	if r.Concurrent() != r {
 		t.Fatalf("Concurrent must be idempotent")
 	}
-	sh := r.NewShard()
-	sh.Counter("c").Add(5)
-	sh.Histogram("h", []float64{1}).Observe(0.5)
-	if err := r.Merge(sh); err != nil {
-		t.Fatalf("merge into concurrent registry: %v", err)
-	}
-	if r.Counter("c").Value() != 5 {
-		t.Fatalf("merge lost counter")
-	}
-	// Handles registered via Merge must be stamped: hammer one briefly.
+	r.Counter("c").Add(5)
+	// Hammer the counter briefly while snapshotting.
 	var wg sync.WaitGroup
 	for i := 0; i < 4; i++ {
 		wg.Add(1)

@@ -11,9 +11,7 @@
 //     harvests metrics from the simulation's own deterministic statistics
 //     (cache/DRAM/NoC counters, per-unit accumulators) at serial points —
 //     step and phase boundaries — rather than instrumenting concurrent
-//     hot paths. Registries are shard-mergeable (NewShard/Merge) so
-//     per-worker recording composes into one deterministic total when the
-//     shards are merged in a fixed order.
+//     hot paths.
 //   - Near-zero cost when disabled. A nil *Registry is a valid "off"
 //     handle: every method on a nil Registry, Counter, Gauge or Histogram
 //     is a no-op returning nil, so instrumented code needs no branches
@@ -354,68 +352,6 @@ func (r *Registry) namesLocked() []string {
 	names := append([]string(nil), r.order...)
 	sort.Strings(names)
 	return names
-}
-
-// NewShard returns an empty registry intended for single-owner recording
-// by one worker; Merge folds shards back into the parent. (Shards share
-// no state with the parent — the schema materializes on demand — and are
-// always unsynchronized, whatever mode the parent is in.)
-func (r *Registry) NewShard() *Registry {
-	if r == nil {
-		return nil
-	}
-	return NewRegistry()
-}
-
-// Merge folds the shards' metrics into r, visiting shards in argument
-// order and each shard's metrics in its registration order — so merging
-// is deterministic whenever the shard order is. Counters and histogram
-// buckets sum; gauges take the last Set value in merge order. Metrics
-// absent from r are registered. Merging a histogram into an existing one
-// with different bounds is an error. Nil shards are skipped; merging into
-// a nil registry is a no-op. The shards themselves must be quiescent.
-func (r *Registry) Merge(shards ...*Registry) error {
-	if r == nil {
-		return nil
-	}
-	r.lock()
-	defer r.unlock()
-	for _, s := range shards {
-		if s == nil {
-			continue
-		}
-		for _, name := range s.order {
-			switch m := s.metrics[name].(type) {
-			case *Counter:
-				r.counterLocked(name).v += m.v
-			case *Gauge:
-				if m.set {
-					g := r.gaugeLocked(name)
-					g.v, g.set = m.v, true
-				}
-			case *Histogram:
-				if ex, ok := r.metrics[name]; ok {
-					h, ok := ex.(*Histogram)
-					if !ok {
-						return fmt.Errorf("obs: merge: metric %q is %T in destination", name, ex)
-					}
-					if !equalBounds(h.bounds, m.bounds) {
-						return fmt.Errorf("obs: merge: histogram %q bounds differ", name)
-					}
-					for i, c := range m.counts {
-						h.counts[i] += c
-					}
-					h.count += m.count
-					h.sum += m.sum
-					continue
-				}
-				h := r.histogramLocked(name, m.bounds)
-				copy(h.counts, m.counts)
-				h.count, h.sum = m.count, m.sum
-			}
-		}
-	}
-	return nil
 }
 
 // HistogramSnapshot is the exported state of one histogram. Counts has

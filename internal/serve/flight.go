@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
+	"math"
 	"sort"
 
 	"github.com/ecocloud-go/mondrian/internal/engine"
@@ -82,6 +83,51 @@ func paramsDigest(p simulate.Params) string {
 	h := fnv.New64a()
 	h.Write(b)
 	return fmt.Sprintf("%016x", h.Sum64())
+}
+
+// digestMemoCap bounds the scheduler's paramsDigest memo. Served traffic
+// repeats a few request shapes; a stream of distinct shapes clears the
+// memo whenever it fills.
+const digestMemoCap = 64
+
+// paramsDigest is the package paramsDigest memoized per request shape:
+// the JSON marshal is the same for every request of one shape. The memo
+// keys on the comparable Params with Obs zeroed (Obs is not part of the
+// JSON form either).
+func (s *Scheduler) paramsDigest(p simulate.Params) string {
+	p.Obs = nil
+	if negativeZero(p) {
+		return paramsDigest(p)
+	}
+	s.digestMu.Lock()
+	defer s.digestMu.Unlock()
+	if d, ok := s.digests[p]; ok {
+		return d
+	}
+	if len(s.digests) >= digestMemoCap {
+		clear(s.digests)
+	}
+	d := paramsDigest(p)
+	s.digests[p] = d
+	return d
+}
+
+// negativeZero reports whether a float field of p is -0: it compares
+// equal to +0 as a map key but marshals as "-0", so such params bypass
+// the memo. (A NaN never matches a key; it only churns the memo.)
+func negativeZero(p simulate.Params) bool {
+	e := p.Energy
+	for _, f := range [...]float64{
+		p.BarrierNs, p.ZipfS, p.Overprovision,
+		e.CPUCoreW, e.NMPCoreW, e.MondrianCoreW, e.LLCAccessJ, e.LLCLeakW,
+		e.NoCPerBitMMJ, e.NoCLeakW, e.HMCBackgroundW, e.ActivationJ,
+		e.AccessJPerBit, e.SerDesIdleJPerBit, e.SerDesBusyJPerBit, e.IdleCoreFraction,
+	} {
+		if f == 0 && math.Signbit(f) {
+			return true
+		}
+	}
+	return false
 }
 
 // recordFlightLocked appends one record to the ring (oldest evicted).
@@ -231,8 +277,9 @@ func (s *Scheduler) TenantsSnapshot() []TenantLive {
 // PublishLive refreshes the rolling-window gauges on the configured
 // registry — tenant_queue_wait_p{50,95,99}_ns, tenant_latency_p*_ns,
 // tenant_slo_burn_rate, tenant_queue_len, all tenant-labeled — so a
-// Prometheus scrape carries the same live view /tenants serves. Call it
-// just before exporting; a no-op without a registry.
+// Prometheus scrape carries the same live view /tenants serves, plus the
+// process-wide dataset cache's dataset_cache_{hits,misses,evictions,bytes}.
+// Call it just before exporting; a no-op without a registry.
 func (s *Scheduler) PublishLive() {
 	if s.cfg.Obs == nil {
 		return
@@ -249,4 +296,9 @@ func (s *Scheduler) PublishLive() {
 		reg.Gauge(label("tenant_slo_burn_rate")).Set(t.SLOBurnRate)
 		reg.Gauge(label("tenant_queue_len")).Set(float64(t.QueueLen))
 	}
+	ds := simulate.DatasetStats()
+	reg.Gauge("dataset_cache_hits").Set(float64(ds.Hits))
+	reg.Gauge("dataset_cache_misses").Set(float64(ds.Misses))
+	reg.Gauge("dataset_cache_evictions").Set(float64(ds.Evictions))
+	reg.Gauge("dataset_cache_bytes").Set(float64(ds.Bytes))
 }

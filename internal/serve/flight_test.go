@@ -3,6 +3,10 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"hash/fnv"
+	"math"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -291,4 +295,92 @@ func TestParamsDigestStable(t *testing.T) {
 	if paramsDigest(a) != paramsDigest(c) {
 		t.Fatal("Obs handle must not affect the digest")
 	}
+}
+
+// fnvJSONDigest is the digest's definition, computed independently of the
+// scheduler's memo: FNV-64a over the JSON form of the params.
+func fnvJSONDigest(t *testing.T, p simulate.Params) string {
+	t.Helper()
+	b, err := json.Marshal(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := fnv.New64a()
+	h.Write(b)
+	return fmt.Sprintf("%016x", h.Sum64())
+}
+
+// TestParamsDigestMemo: the scheduler's memoized digest equals the direct
+// FNV-over-JSON value for every request shape, asked once or repeatedly,
+// and the memo stays under its cap.
+func TestParamsDigestMemo(t *testing.T) {
+	s, _ := newTestScheduler(Config{Workers: 0})
+	defer s.Close()
+	variants := map[string]func(*simulate.Params){
+		"base":          func(*simulate.Params) {},
+		"zipf-1.5":      func(p *simulate.Params) { p.ZipfS = 1.5 },
+		"zipf-2":        func(p *simulate.Params) { p.ZipfS = 2 },
+		"no-fusion":     func(p *simulate.Params) { p.NoFusion = true },
+		"seed":          func(p *simulate.Params) { p.Seed = 7 },
+		"seed+zipf":     func(p *simulate.Params) { p.Seed, p.ZipfS = 7, 1.5 },
+		"obs":           func(p *simulate.Params) { p.Obs = obs.NewRegistry() },
+		"negative-zero": func(p *simulate.Params) { p.ZipfS = math.Copysign(0, -1) },
+	}
+	for round := 0; round < 3; round++ {
+		for name, mutate := range variants {
+			p := serveParams()
+			mutate(&p)
+			if got, want := s.paramsDigest(p), fnvJSONDigest(t, p); got != want {
+				t.Errorf("round %d %s: memoized digest %s, direct %s", round, name, got, want)
+			}
+		}
+	}
+	for i := 0; i < 5*digestMemoCap; i++ {
+		p := serveParams()
+		p.Seed = int64(i)
+		if got, want := s.paramsDigest(p), fnvJSONDigest(t, p); got != want {
+			t.Fatalf("seed %d: memoized digest %s, direct %s", i, got, want)
+		}
+		if n := len(s.digests); n > digestMemoCap {
+			t.Fatalf("memo holds %d digests, cap %d", n, digestMemoCap)
+		}
+	}
+}
+
+// TestParamsDigestMemoNegativeZero walks every float64 field of Params:
+// after the +0 variant is memoized, the -0 variant (equal as a map key,
+// different in JSON) must still get its own direct digest. A float field
+// added to Params without a negativeZero check fails here.
+func TestParamsDigestMemoNegativeZero(t *testing.T) {
+	s, _ := newTestScheduler(Config{Workers: 0})
+	defer s.Close()
+	paths := floatFields(reflect.TypeOf(simulate.Params{}), nil)
+	if len(paths) == 0 {
+		t.Fatal("no float fields found")
+	}
+	for _, idx := range paths {
+		pos, neg := serveParams(), serveParams()
+		reflect.ValueOf(&pos).Elem().FieldByIndex(idx).SetFloat(0)
+		reflect.ValueOf(&neg).Elem().FieldByIndex(idx).SetFloat(math.Copysign(0, -1))
+		s.paramsDigest(pos)
+		if got, want := s.paramsDigest(neg), fnvJSONDigest(t, neg); got != want {
+			t.Errorf("field %v = -0: memoized digest %s, direct %s", idx, got, want)
+		}
+	}
+}
+
+// floatFields returns the index paths of every float64 field of typ,
+// nested structs included.
+func floatFields(typ reflect.Type, prefix []int) [][]int {
+	var out [][]int
+	for i := 0; i < typ.NumField(); i++ {
+		idx := append(append([]int(nil), prefix...), i)
+		switch f := typ.Field(i); f.Type.Kind() {
+		case reflect.Struct:
+			out = append(out, floatFields(f.Type, idx)...)
+		case reflect.Float64:
+			out = append(out, idx)
+		}
+	}
+	return out
 }

@@ -271,6 +271,9 @@ type Scheduler struct {
 	workerHarvests  []*obs.Registry
 	dispatchMu      sync.Mutex
 	dispatchHarvest *obs.Registry
+
+	digestMu sync.Mutex
+	digests  map[simulate.Params]string // paramsDigest memo, ≤ digestMemoCap
 }
 
 // newHarvest returns one executor's private harvest registry, or nil when
@@ -293,7 +296,7 @@ func New(cfg Config) *Scheduler {
 	if cfg.now == nil {
 		cfg.now = time.Now
 	}
-	s := &Scheduler{cfg: cfg, tenants: make(map[string]*tenantState)}
+	s := &Scheduler{cfg: cfg, tenants: make(map[string]*tenantState), digests: make(map[simulate.Params]string)}
 	if n := cfg.flightRecords(); n > 0 {
 		s.flight = make([]FlightRecord, n)
 	}
@@ -375,7 +378,7 @@ func (s *Scheduler) Submit(tenant string, req Request) (*Ticket, error) {
 			Ticket: s.seq, Tenant: tenant, Outcome: OutcomeRejected,
 			Error: adm.Error(), System: req.System.String(),
 			Operator: requestOperator(req), Priority: req.Priority,
-			ParamsDigest: paramsDigest(req.Params),
+			ParamsDigest: s.paramsDigest(req.Params),
 		})
 		dump := s.takeFlightDumpLocked()
 		s.mu.Unlock()
@@ -582,7 +585,7 @@ func (s *Scheduler) execute(harvest *obs.Registry, it *item) {
 	rec := FlightRecord{
 		Ticket: it.ticket.id, Tenant: it.tenant, Outcome: OutcomeOK,
 		System: it.req.System.String(), Operator: requestOperator(it.req),
-		Priority: it.req.Priority, ParamsDigest: paramsDigest(it.req.Params),
+		Priority: it.req.Priority, ParamsDigest: s.paramsDigest(it.req.Params),
 		QueueNs: resp.QueueNs,
 	}
 	wallStart := time.Now()

@@ -11,7 +11,6 @@ import (
 	"github.com/ecocloud-go/mondrian/internal/operators"
 	"github.com/ecocloud-go/mondrian/internal/plan"
 	"github.com/ecocloud-go/mondrian/internal/tuple"
-	"github.com/ecocloud-go/mondrian/internal/workload"
 )
 
 // Plan identifies one of the registered multi-operator query shapes — the
@@ -150,37 +149,6 @@ func RunPlan(s System, pl Plan, p Params) (*PlanResult, error) {
 	return res, nil
 }
 
-// joinInput generates the join relations: uniform foreign keys by default,
-// Zipf-distributed when Params.ZipfS is set.
-func joinInput(p Params) (rRel, sRel *tuple.Relation, err error) {
-	c := workload.Config{Seed: p.Seed, Tuples: p.STuples}
-	if p.ZipfS > 0 {
-		return workload.FKPairZipf(c, p.RTuples, p.ZipfS)
-	}
-	return workload.FKPair(c, p.RTuples)
-}
-
-// groupInput generates the aggregation input relation (see run's OpGroupBy
-// case for the Zipf rationale).
-func groupInput(p Params) (*tuple.Relation, error) {
-	c := workload.Config{Seed: p.Seed, Tuples: p.STuples, KeySpace: p.KeySpace}
-	if p.ZipfS > 0 {
-		return workload.Zipf("agg-in", c, p.ZipfS)
-	}
-	return workload.GroupBy(c, p.GroupSize)
-}
-
-// dimRelation builds the second star-schema dimension: keys [0, n) with a
-// deterministic payload, so the expected join output is computable without
-// another generator seed.
-func dimRelation(n int) *tuple.Relation {
-	rel := tuple.NewRelation("dim2", n)
-	for i := 0; i < n; i++ {
-		rel.Append1(tuple.Tuple{Key: tuple.Key(i), Val: tuple.Value(uint64(i)*2654435761 + 7)})
-	}
-	return rel
-}
-
 // runPlan is the unguarded experiment body; RunPlan wraps it in validation
 // and the recovery boundary. Engine lifecycle matches run (run.go): pooled
 // acquire, release on non-panicking returns.
@@ -195,7 +163,7 @@ func runPlan(s System, pl Plan, p Params) (*PlanResult, error) {
 }
 
 // runPlanOn executes one compiled-plan experiment on the given pristine
-// engine.
+// engine, drawing its inputs from the dataset cache (dataset.go).
 func runPlanOn(e *engine.Engine, s System, pl Plan, p Params) (*PlanResult, error) {
 	opCfg := p.OperatorConfig(s)
 	res := &PlanResult{System: s, Plan: pl}
@@ -215,25 +183,24 @@ func runPlanOn(e *engine.Engine, s System, pl Plan, p Params) (*PlanResult, erro
 
 	switch pl {
 	case PlanFilterSort:
-		rel, err := streamInput("filter-in", p)
+		d, err := streamInput("filter-in", p)
 		if err != nil {
 			return nil, err
 		}
-		needle, _ := workload.ScanTarget(rel, p.Seed+1)
-		t, err := table("s", rel)
+		t, err := table("s", d.rel)
 		if err != nil {
 			return nil, err
 		}
-		root = &plan.Sort{In: &plan.Filter{In: t, Needle: needle}}
-		want = operators.RefScan(rel.Tuples, needle)
+		root = &plan.Sort{In: &plan.Filter{In: t, Needle: d.needle}}
+		want = operators.RefScan(d.rel.Tuples, d.needle)
 		ordered = true
 
 	case PlanSortAgg:
-		rel, err := groupInput(p)
+		d, err := groupInput("agg-in", p)
 		if err != nil {
 			return nil, err
 		}
-		t, err := table("s", rel)
+		t, err := table("s", d.rel)
 		if err != nil {
 			return nil, err
 		}
@@ -250,13 +217,14 @@ func runPlanOn(e *engine.Engine, s System, pl Plan, p Params) (*PlanResult, erro
 			ks = uint64(groups)
 		}
 		root = &plan.GroupBy{In: &plan.Sort{In: t, KeySpace: ks}}
-		want = operators.RefGroupByTuples(rel.Tuples)
+		want = operators.RefGroupByTuples(d.rel.Tuples)
 
 	case PlanJoinAgg:
-		rRel, sRel, err := joinInput(p)
+		d, err := joinInput(p)
 		if err != nil {
 			return nil, err
 		}
+		rRel, sRel := d.rel, d.s
 		rT, err := table("r", rRel)
 		if err != nil {
 			return nil, err
@@ -269,10 +237,11 @@ func runPlanOn(e *engine.Engine, s System, pl Plan, p Params) (*PlanResult, erro
 		want = operators.RefGroupByTuples(operators.RefJoin(rRel.Tuples, sRel.Tuples))
 
 	case PlanJoinAggSort:
-		rRel, sRel, err := joinInput(p)
+		d, err := joinInput(p)
 		if err != nil {
 			return nil, err
 		}
+		rRel, sRel := d.rel, d.s
 		rT, err := table("r", rRel)
 		if err != nil {
 			return nil, err
@@ -292,11 +261,16 @@ func runPlanOn(e *engine.Engine, s System, pl Plan, p Params) (*PlanResult, erro
 		ordered = true
 
 	case PlanStarJoinAgg:
-		rRel, sRel, err := joinInput(p)
+		d, err := joinInput(p)
 		if err != nil {
 			return nil, err
 		}
-		dRel := dimRelation(p.RTuples / 2)
+		rRel, sRel := d.rel, d.s
+		dim, err := dimInput(p)
+		if err != nil {
+			return nil, err
+		}
+		dRel := dim.rel
 		rT, err := table("r1", rRel)
 		if err != nil {
 			return nil, err

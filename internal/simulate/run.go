@@ -9,7 +9,6 @@ import (
 	"github.com/ecocloud-go/mondrian/internal/obs"
 	"github.com/ecocloud-go/mondrian/internal/operators"
 	"github.com/ecocloud-go/mondrian/internal/tuple"
-	"github.com/ecocloud-go/mondrian/internal/workload"
 )
 
 // Operator identifies one of the four basic data operators.
@@ -91,16 +90,6 @@ func (r *Result) Efficiency() float64 {
 	return 1 / r.Energy.Total()
 }
 
-// streamInput generates the Scan/Sort input relation: uniform keys by
-// default, Zipf-distributed when Params.ZipfS is set.
-func streamInput(name string, p Params) (*tuple.Relation, error) {
-	c := workload.Config{Seed: p.Seed, Tuples: p.STuples, KeySpace: p.KeySpace}
-	if p.ZipfS > 0 {
-		return workload.Zipf(name, c, p.ZipfS)
-	}
-	return workload.Uniform(name, c), nil
-}
-
 // place spreads a relation evenly across the vaults.
 func place(e *engine.Engine, rel *tuple.Relation) ([]*engine.Region, error) {
 	parts := rel.SplitEven(e.NumVaults())
@@ -158,7 +147,8 @@ func run(s System, op Operator, p Params) (*Result, error) {
 	return res, err
 }
 
-// runOn executes one operator experiment on the given pristine engine.
+// runOn executes one operator experiment on the given pristine engine,
+// drawing its input from the dataset cache (dataset.go).
 // The returned Result aliases no engine state that outlives the run's
 // release: Reset replaces (rather than truncates) the step, phase and
 // exchange slices, so the result's views stay intact after the engine is
@@ -169,30 +159,30 @@ func runOn(e *engine.Engine, s System, op Operator, p Params) (*Result, error) {
 
 	switch op {
 	case OpScan:
-		rel, err := streamInput("scan-in", p)
+		d, err := streamInput("scan-in", p)
 		if err != nil {
 			return nil, err
 		}
-		needle, want := workload.ScanTarget(rel, p.Seed+1)
+		rel := d.rel
 		inputs, err := place(e, rel)
 		if err != nil {
 			return nil, err
 		}
-		r, err := operators.Scan(e, opCfg, inputs, needle)
+		r, err := operators.Scan(e, opCfg, inputs, d.needle)
 		if err != nil {
 			return nil, err
 		}
 		res.ProbeNs = r.ProbeNs
-		res.Verified = r.Matches == want &&
-			tuple.SameMultiset(operators.Gather(r.Out), operators.RefScan(rel.Tuples, needle))
+		res.Verified = r.Matches == d.count &&
+			tuple.SameMultiset(operators.Gather(r.Out), operators.RefScan(rel.Tuples, d.needle))
 		res.ProbeBWPerVaultGBs = phaseBW(r.Steps, e.NumVaults())
 
 	case OpSort:
-		rel, err := streamInput("sort-in", p)
+		d, err := streamInput("sort-in", p)
 		if err != nil {
 			return nil, err
 		}
-		inputs, err := place(e, rel)
+		inputs, err := place(e, d.rel)
 		if err != nil {
 			return nil, err
 		}
@@ -201,24 +191,15 @@ func runOn(e *engine.Engine, s System, op Operator, p Params) (*Result, error) {
 			return nil, err
 		}
 		res.PartitionNs, res.ProbeNs = r.PartitionNs, r.ProbeNs
-		res.Verified = verifySorted(r, rel)
+		res.Verified = verifySorted(r, d.rel)
 		res.DistBWPerVaultGBs = distBW(r.Partition, e.NumVaults())
 
 	case OpGroupBy:
-		// Under ZipfS the group sizes themselves are Zipf-distributed —
-		// the hot-group regime the splitting path targets. The uniform
-		// default keeps the paper's average-group-size-4 workload.
-		var rel *tuple.Relation
-		var err error
-		if p.ZipfS > 0 {
-			rel, err = workload.Zipf("groupby-in", workload.Config{Seed: p.Seed, Tuples: p.STuples, KeySpace: p.KeySpace}, p.ZipfS)
-		} else {
-			rel, err = workload.GroupBy(workload.Config{Seed: p.Seed, Tuples: p.STuples, KeySpace: p.KeySpace}, p.GroupSize)
-		}
+		d, err := groupInput("groupby-in", p)
 		if err != nil {
 			return nil, err
 		}
-		inputs, err := place(e, rel)
+		inputs, err := place(e, d.rel)
 		if err != nil {
 			return nil, err
 		}
@@ -227,23 +208,15 @@ func runOn(e *engine.Engine, s System, op Operator, p Params) (*Result, error) {
 			return nil, err
 		}
 		res.PartitionNs, res.ProbeNs = r.PartitionNs, r.ProbeNs
-		res.Verified = tuple.SameMultiset(operators.Gather(r.Out), operators.RefGroupByTuples(rel.Tuples))
+		res.Verified = tuple.SameMultiset(operators.Gather(r.Out), operators.RefGroupByTuples(d.rel.Tuples))
 		res.DistBWPerVaultGBs = distBW(r.Partition, e.NumVaults())
 
 	case OpJoin:
-		// Under ZipfS the probe relation's foreign keys are skewed: a few
-		// R tuples match most of S (the hot-run regime of the sort-merge
-		// probe's batching).
-		var rRel, sRel *tuple.Relation
-		var err error
-		if p.ZipfS > 0 {
-			rRel, sRel, err = workload.FKPairZipf(workload.Config{Seed: p.Seed, Tuples: p.STuples}, p.RTuples, p.ZipfS)
-		} else {
-			rRel, sRel, err = workload.FKPair(workload.Config{Seed: p.Seed, Tuples: p.STuples}, p.RTuples)
-		}
+		d, err := joinInput(p)
 		if err != nil {
 			return nil, err
 		}
+		rRel, sRel := d.rel, d.s
 		rIn, err := place(e, rRel)
 		if err != nil {
 			return nil, err

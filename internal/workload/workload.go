@@ -27,7 +27,9 @@ type Config struct {
 	KeySpace uint64
 }
 
-func (c Config) keySpace() uint64 {
+// ResolvedKeySpace is the key space the generators draw from: KeySpace,
+// or Tuples*4 when it is zero.
+func (c Config) ResolvedKeySpace() uint64 {
 	if c.KeySpace != 0 {
 		return c.KeySpace
 	}
@@ -39,7 +41,7 @@ func (c Config) keySpace() uint64 {
 func Uniform(name string, c Config) *tuple.Relation {
 	rng := rand.New(rand.NewSource(c.Seed))
 	r := tuple.NewRelation(name, c.Tuples)
-	ks := c.keySpace()
+	ks := c.ResolvedKeySpace()
 	for i := 0; i < c.Tuples; i++ {
 		r.Append1(tuple.Tuple{
 			Key: tuple.Key(rng.Uint64() % ks),
@@ -144,7 +146,7 @@ func Zipf(name string, c Config, s float64) (*tuple.Relation, error) {
 		return nil, fmt.Errorf("workload: Zipf requires Tuples >= 0, got %d", c.Tuples)
 	}
 	rng := rand.New(rand.NewSource(c.Seed))
-	ks := c.keySpace()
+	ks := c.ResolvedKeySpace()
 	z := rand.NewZipf(rng, s, 1, ks-1)
 	r := tuple.NewRelation(name, c.Tuples)
 	for i := 0; i < c.Tuples; i++ {
